@@ -11,11 +11,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from decimal import Decimal
 
 from . import closed_form, dp, families, oracle, perturbation
-from .errors import DominionError, MismatchError, ParseError
-from .tree import Tree, parse_edge_list, to_edge_list
+from .errors import DominionError, MismatchError, NoClosedFormError, ParseError
+from .tree import DominationSummary, Tree, parse_edge_list, to_edge_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,14 +47,11 @@ class ReportRow:
     zeta: str
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_vertices": self.n_vertices,
-            "gamma": self.gamma,
-            "zeta": self.zeta,
-            "method": self.method,
-        }
+
+def _digits(count: int) -> str:
+    """Exact decimal form of a count of any size. `str(int)` refuses counts
+    above the interpreter's digit limit, which stays on for parsing input."""
+    return str(Decimal(count))
 
 
 def _looks_like_spec(text: str) -> bool:
@@ -72,45 +70,41 @@ def _load_input(text: str) -> tuple[str, Tree, families.FamilySpec | None]:
     raise ParseError(f"{text!r} is neither a family spec nor an existing file")
 
 
-def _has_closed_form(spec: families.FamilySpec) -> bool:
-    if spec.kind == "random":
-        return False
-    if spec.kind == "binary" and spec.deleted_leaves:
-        return False
-    return True
-
-
 def compute_row(text: str) -> ReportRow:
     """DP result for the input; family specs with a closed form are
-    cross-checked against it and raise MismatchError on disagreement."""
+    cross-checked against it and raise MismatchError on disagreement. A
+    closed form for gamma only is checked on gamma, and the row reports
+    that the count came from the DP."""
     source, tree, spec = _load_input(text)
     dp_result = dp.dp_count(tree)
-    method = "dp"
-    if spec is not None and _has_closed_form(spec):
-        formula = closed_form.summary_for(spec)
-        if formula != dp_result:
-            raise MismatchError(
-                f"{source}: closed form gives (gamma={formula.gamma}, zeta={formula.zeta}) "
-                f"but the dynamic program gives (gamma={dp_result.gamma}, zeta={dp_result.zeta})"
-            )
-        # For paths the count itself came from the DP; report that honestly.
-        method = "dp" if spec.kind == "path" else "closed_form"
-    return ReportRow(source, tree.vertex_count, dp_result.gamma, str(dp_result.zeta), method)
+    formula, method = dp_result, "dp"
+    if spec is not None:
+        gamma_formula = closed_form.GAMMA_FORMULAS.get(spec.kind)
+        if gamma_formula is not None:
+            formula = DominationSummary(gamma_formula(spec), dp_result.zeta)
+        else:
+            try:
+                formula, method = closed_form.summary_for(spec), "closed_form"
+            except NoClosedFormError:
+                pass
+    if formula != dp_result:
+        raise MismatchError(
+            f"{source}: closed form gives (gamma={formula.gamma}, zeta={_digits(formula.zeta)}) "
+            f"but the dynamic program gives "
+            f"(gamma={dp_result.gamma}, zeta={_digits(dp_result.zeta)})"
+        )
+    return ReportRow(source, tree.vertex_count, dp_result.gamma, _digits(dp_result.zeta), method)
 
 
 def _emit_row(row: ReportRow, fmt: str) -> None:
+    fields = asdict(row)
     if fmt == "json":
-        print(json.dumps(row.to_dict()))
+        print(json.dumps(fields))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["family", "n_vertices", "gamma", "zeta", "method"])
-        writer.writerow([row.family, row.n_vertices, row.gamma, row.zeta, row.method])
-    else:
-        print(f"family     {row.family}")
-        print(f"vertices   {row.n_vertices}")
-        print(f"gamma      {row.gamma}")
-        print(f"zeta       {row.zeta}")
-        print(f"method     {row.method}")
+        csv.writer(sys.stdout).writerows([fields.keys(), fields.values()])
+    else:  # human labels drop the n_ prefix: "vertices"
+        for name, value in fields.items():
+            print(f"{name.removeprefix('n_'):<10} {value}")
 
 
 def _cmd_compute(args) -> int:
@@ -126,7 +120,7 @@ def _cmd_oracle(args) -> int:
             print(" ".join(str(v) for v in members))
         return EXIT_OK
     summary = oracle.oracle_count(tree, cap=args.cap)
-    row = ReportRow(source, tree.vertex_count, summary.gamma, str(summary.zeta), "oracle")
+    row = ReportRow(source, tree.vertex_count, summary.gamma, _digits(summary.zeta), "oracle")
     _emit_row(row, args.format)
     return EXIT_OK
 
@@ -140,10 +134,6 @@ def _cmd_generate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     return EXIT_OK
-
-
-def _format_deleted(deleted: frozenset[str]) -> str:
-    return "+".join(sorted(deleted, key=lambda s: int(s[1:])))
 
 
 def _cmd_perturb(args) -> int:
@@ -167,13 +157,13 @@ def _cmd_perturb(args) -> int:
         writer.writerow(
             [
                 rep.h,
-                _format_deleted(rep.deleted),
+                families.format_leaf_set(rep.deleted),
                 rep.m1,
                 rep.gamma_before,
                 rep.gamma_after,
-                rep.zeta_before,
-                rep.zeta_after,
-                rep.envelope,
+                _digits(rep.zeta_before),
+                _digits(rep.zeta_after),
+                _digits(rep.envelope),
                 "true" if rep.bound_holds else "false",
             ]
         )
@@ -199,89 +189,58 @@ class CheckCell:
             "family": self.family,
             "ok": self.ok,
             "methods": {
-                name: {"gamma": summary.gamma, "zeta": str(summary.zeta)}
+                name: {"gamma": summary.gamma, "zeta": _digits(summary.zeta)}
                 for name, summary in self.results.items()
             },
         }
 
 
-def _table1_cells() -> list[CheckCell]:
-    """Alternating combs, n = 2..10, each computed three independent ways."""
-    cells = []
-    for kind in ("alt-even", "alt-odd"):
-        parity = kind.removeprefix("alt-")
-        for n in range(2, 11):
-            tree = families.make_alternating(n, parity)
-            cells.append(
-                CheckCell(
-                    1,
-                    f"{kind}:n={n}",
-                    {
-                        "closed_form": closed_form.alternating_summary(n, parity),
-                        "dp": dp.dp_count(tree),
-                        "oracle": oracle.oracle_count(tree),
-                    },
-                )
-            )
-    return cells
+# Table 1 checks the alternating combs three ways; table 2 checks each
+# family's formula against the DP.
+_TABLE1_SPECS = [f"{kind}:n={n}" for kind in ("alt-even", "alt-odd") for n in range(2, 11)]
+_TABLE2_SPECS = [
+    text
+    for n in range(4, 11)
+    for text in (f"comb:n={n}", f"uniform:n={n},r=2", f"interior:n={n}",
+                 f"alt-even:n={n}", f"alt-odd:n={n}")
+] + [f"binary:h={h}" for h in range(1, 7)]
 
 
-def _table2_cells() -> list[CheckCell]:
-    """Each family's formula against the DP on concrete instances."""
-    cells = []
-    for n in range(4, 11):
-        cases = [
-            (f"comb:n={n}", closed_form.uniform_pendant_summary(n, 1),
-             families.make_uniform_pendant(n, 1)),
-            (f"uniform:n={n},r=2", closed_form.uniform_pendant_summary(n, 2),
-             families.make_uniform_pendant(n, 2)),
-            (f"interior:n={n}", closed_form.interior_pendant_summary(n),
-             families.make_interior_pendant(n)),
-            (f"alt-even:n={n}", closed_form.alternating_summary(n, "even"),
-             families.make_alternating(n, "even")),
-            (f"alt-odd:n={n}", closed_form.alternating_summary(n, "odd"),
-             families.make_alternating(n, "odd")),
-        ]
-        for family, formula, tree in cases:
-            cells.append(CheckCell(2, family, {"closed_form": formula, "dp": dp.dp_count(tree)}))
-    for h in range(1, 7):
-        cells.append(
-            CheckCell(
-                2,
-                f"binary:h={h}",
-                {
-                    "closed_form": closed_form.binary_summary(h),
-                    "dp": dp.dp_count(families.make_complete_binary(h)),
-                },
-            )
-        )
-    return cells
+def _check_cell(table: int, text: str) -> CheckCell:
+    spec = families.parse_family_spec(text)
+    tree = families.build_tree(spec)
+    results = {"closed_form": closed_form.summary_for(spec), "dp": dp.dp_count(tree)}
+    if table == 1:
+        results["oracle"] = oracle.oracle_count(tree)
+    return CheckCell(table, text, results)
 
 
 def verification_cells() -> list[CheckCell]:
-    return _table1_cells() + _table2_cells()
+    return [_check_cell(1, text) for text in _TABLE1_SPECS] + [
+        _check_cell(2, text) for text in _TABLE2_SPECS
+    ]
 
 
 def _cmd_verify(args) -> int:
     cells = verification_cells()
     failures = [cell for cell in cells if not cell.ok]
+    # every cell checks two quantities, gamma and zeta
+    t1, t2 = 2 * len(_TABLE1_SPECS), 2 * len(_TABLE2_SPECS)
     if args.format == "json":
         payload = {
             "ok": not failures,
-            "table1_cells": 2 * sum(1 for c in cells if c.table == 1),
-            "table2_cells": 2 * sum(1 for c in cells if c.table == 2),
+            "table1_cells": t1,
+            "table2_cells": t2,
             "cells": [cell.to_dict() for cell in cells],
         }
         print(json.dumps(payload))
     else:
         for cell in failures:
             parts = ", ".join(
-                f"{name}=(gamma={summary.gamma}, zeta={summary.zeta})"
+                f"{name}=(gamma={summary.gamma}, zeta={_digits(summary.zeta)})"
                 for name, summary in cell.results.items()
             )
             print(f"MISMATCH {cell.family}: {parts}")
-        t1 = 2 * sum(1 for c in cells if c.table == 1)
-        t2 = 2 * sum(1 for c in cells if c.table == 2)
         print(f"table 1: {t1} cells checked (alternating combs, n=2..10, 3 methods)")
         print(f"table 2: {t2} cells checked (family formulas vs dynamic program)")
         print("all checks passed" if not failures else f"{len(failures)} records disagree")

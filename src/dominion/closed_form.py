@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .dp import dp_count
 from .errors import InvalidParameterError, NoClosedFormError
-from .families import FamilySpec, make_path
+from .families import FamilySpec, build_tree
 from .tree import DominationSummary
 
 
@@ -83,32 +83,31 @@ def binary_summary(h: int) -> DominationSummary:
     return DominationSummary(gamma, zeta)
 
 
-def summary_for(spec: FamilySpec) -> DominationSummary:
-    """Dispatch to the closed form matching `spec`.
+# Closed forms by family kind. A kind missing from both tables has no closed
+# form; bare paths have one for gamma = ceil(n/3) only.
+FORMULAS = {
+    "uniform": lambda s: uniform_pendant_summary(s.n, s.r),
+    "comb": lambda s: uniform_pendant_summary(s.n, 1),
+    "interior": lambda s: interior_pendant_summary(s.n),
+    "alt-even": lambda s: alternating_summary(s.n, "even"),
+    "alt-odd": lambda s: alternating_summary(s.n, "odd"),
+    "star": lambda s: star_summary(s.n),
+    "binary": lambda s: binary_summary(s.h),
+}
+GAMMA_FORMULAS = {"path": lambda s: (s.n + 2) // 3}
 
-    Bare paths have no closed-form count, so `path` combines the
-    gamma = ceil(n/3) formula with a count computed by the dynamic
-    program. Random trees and binary trees with deleted leaves have no
-    closed form at all.
+
+def summary_for(spec: FamilySpec) -> DominationSummary:
+    """The closed form matching `spec`.
+
+    A kind whose closed form gives gamma only (bare paths) takes its count
+    from the dynamic program. Random trees and binary trees with deleted
+    leaves have no closed form at all.
     """
-    kind = spec.kind
-    if kind == "random":
-        raise NoClosedFormError("random trees have no closed form")
-    if kind == "binary" and spec.deleted_leaves:
+    if spec.deleted_leaves:
         raise NoClosedFormError("perturbed binary trees have no closed form")
-    if kind == "uniform":
-        return uniform_pendant_summary(spec.n, spec.r)
-    if kind == "comb":
-        return uniform_pendant_summary(spec.n, 1)
-    if kind == "interior":
-        return interior_pendant_summary(spec.n)
-    if kind == "alt-even":
-        return alternating_summary(spec.n, "even")
-    if kind == "alt-odd":
-        return alternating_summary(spec.n, "odd")
-    if kind == "star":
-        return star_summary(spec.n)
-    if kind == "binary":
-        return binary_summary(spec.h)
-    assert kind == "path"
-    return DominationSummary((spec.n + 2) // 3, dp_count(make_path(spec.n)).zeta)
+    if spec.kind in FORMULAS:
+        return FORMULAS[spec.kind](spec)
+    if spec.kind in GAMMA_FORMULAS:
+        return DominationSummary(GAMMA_FORMULAS[spec.kind](spec), dp_count(build_tree(spec)).zeta)
+    raise NoClosedFormError(f"{spec.kind} trees have no closed form")

@@ -15,7 +15,8 @@ class EmptyTreeError(DominionError):
 
 class NotATreeError(DominionError):
     """The input is a graph but not a tree (cycle, disconnection, duplicate
-    edge, self-loop, duplicate label, or undeclared edge endpoint)."""
+    edge, self-loop, duplicate label, or undeclared edge endpoint), or its
+    vertex labels are not mutually orderable."""
 
 
 class UnknownVertexError(DominionError):

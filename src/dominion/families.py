@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     InvalidParameterError,
@@ -26,9 +27,6 @@ from .errors import (
 )
 from .rng import SplitMix64
 from .tree import Tree
-
-KINDS = ("uniform", "comb", "interior", "alt-even", "alt-odd", "star", "binary", "path", "random")
-
 
 def make_path(n: int) -> Tree:
     """Path v1 - v2 - ... - vn."""
@@ -167,6 +165,48 @@ def random_tree(n: int, seed: int) -> Tree:
 
 
 @dataclass(frozen=True)
+class Family:
+    """One family kind: its spec parameters as written, in canonical order;
+    the least `n` it accepts; and its generator."""
+
+    params: tuple[str, ...]
+    build: Callable[[FamilySpec], Tree]
+    min_n: int = 1
+
+
+def _build_binary(spec: FamilySpec) -> Tree:
+    tree = make_complete_binary(spec.h)
+    return delete_leaves(tree, spec.deleted_leaves) if spec.deleted_leaves else tree
+
+
+# The one table of family kinds. Adding a kind means one entry here and,
+# if it has a closed form, one entry in `closed_form.FORMULAS`.
+FAMILIES = {
+    "uniform": Family(("n", "r"), lambda s: make_uniform_pendant(s.n, s.r)),
+    "comb": Family(("n",), lambda s: make_uniform_pendant(s.n, 1)),
+    "interior": Family(("n",), lambda s: make_interior_pendant(s.n), min_n=2),
+    "alt-even": Family(("n",), lambda s: make_alternating(s.n, "even"), min_n=2),
+    "alt-odd": Family(("n",), lambda s: make_alternating(s.n, "odd"), min_n=2),
+    "star": Family(("m",), lambda s: make_star(s.n)),
+    "binary": Family(("h",), _build_binary),
+    "path": Family(("n",), lambda s: make_path(s.n)),
+    "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed)),
+}
+KINDS = tuple(FAMILIES)
+_FIELDS = ("n", "r", "h", "seed")
+
+
+def _field(param: str) -> str:
+    """FamilySpec field holding a written parameter: star's m is stored in n."""
+    return "n" if param == "m" else param
+
+
+def format_leaf_set(labels) -> str:
+    """Heap labels in heap order, joined by '+' as in ``delete=b8+b11``."""
+    return "+".join(sorted(labels, key=lambda s: int(s[1:])))
+
+
+@dataclass(frozen=True)
 class FamilySpec:
     """Tagged description of a generatable tree family.
 
@@ -184,20 +224,11 @@ class FamilySpec:
     deleted_leaves: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        family = FAMILIES.get(self.kind)
+        if family is None:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        required = {
-            "uniform": ("n", "r"),
-            "comb": ("n",),
-            "interior": ("n",),
-            "alt-even": ("n",),
-            "alt-odd": ("n",),
-            "star": ("n",),
-            "binary": ("h",),
-            "path": ("n",),
-            "random": ("n", "seed"),
-        }[self.kind]
-        for name in ("n", "r", "h", "seed"):
+        required = {_field(p) for p in family.params}
+        for name in _FIELDS:
             value = getattr(self, name)
             if name in required:
                 if value is None:
@@ -206,32 +237,20 @@ class FamilySpec:
                 raise InvalidParameterError(f"{self.kind} does not take parameter {name}")
         if self.deleted_leaves and self.kind != "binary":
             raise InvalidParameterError(f"{self.kind} does not take deleted leaves")
-        minima = {"interior": 2, "alt-even": 2, "alt-odd": 2}
-        if self.n is not None and self.n < minima.get(self.kind, 1):
-            raise InvalidParameterError(f"{self.kind} needs n >= {minima.get(self.kind, 1)}")
+        if self.n is not None and self.n < family.min_n:
+            raise InvalidParameterError(f"{self.kind} needs n >= {family.min_n}")
         if self.r is not None and self.r < 1:
             raise InvalidParameterError("r must be >= 1")
         if self.h is not None and self.h < 1:
             raise InvalidParameterError("h must be >= 1")
-        if self.kind == "binary":
-            for label in self.deleted_leaves:
-                bottom_leaf_index(self.h, label)
+        for label in self.deleted_leaves:
+            bottom_leaf_index(self.h, label)
 
     def spec_string(self) -> str:
         """Canonical string form; `parse_family_spec` is its inverse."""
-        if self.kind == "uniform":
-            body = f"n={self.n},r={self.r}"
-        elif self.kind == "star":
-            body = f"m={self.n}"
-        elif self.kind == "binary":
-            body = f"h={self.h}"
-            if self.deleted_leaves:
-                ordered = sorted(self.deleted_leaves, key=lambda s: int(s[1:]))
-                body += ",delete=" + "+".join(ordered)
-        elif self.kind == "random":
-            body = f"n={self.n},seed={self.seed}"
-        else:
-            body = f"n={self.n}"
+        body = ",".join(f"{p}={getattr(self, _field(p))}" for p in FAMILIES[self.kind].params)
+        if self.deleted_leaves:
+            body += ",delete=" + format_leaf_set(self.deleted_leaves)
         return f"{self.kind}:{body}"
 
 
@@ -239,7 +258,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     """Parse the canonical family grammar into a validated FamilySpec."""
     kind, colon, rest = text.partition(":")
     kind = kind.strip()
-    if not colon or kind not in KINDS:
+    if not colon or kind not in FAMILIES:
         raise ParseError(f"not a family spec: {text!r}")
     params: dict[str, str] = {}
     if rest.strip():
@@ -256,9 +275,9 @@ def parse_family_spec(text: str) -> FamilySpec:
         if key == "delete":
             fields["deleted_leaves"] = frozenset(value.split("+"))
             continue
-        if key == "m" and kind == "star":
-            key = "n"
-        if key not in ("n", "r", "h", "seed"):
+        if key in FAMILIES[kind].params:
+            key = _field(key)
+        if key not in _FIELDS:
             raise ParseError(f"unknown parameter {key!r} for {kind!r}")
         if key in fields:
             raise ParseError(f"conflicting parameter {key!r} in {text!r}")
@@ -273,23 +292,4 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def build_tree(spec: FamilySpec) -> Tree:
     """Generate the tree described by `spec`."""
-    if spec.kind == "uniform":
-        return make_uniform_pendant(spec.n, spec.r)
-    if spec.kind == "comb":
-        return make_uniform_pendant(spec.n, 1)
-    if spec.kind == "interior":
-        return make_interior_pendant(spec.n)
-    if spec.kind == "alt-even":
-        return make_alternating(spec.n, "even")
-    if spec.kind == "alt-odd":
-        return make_alternating(spec.n, "odd")
-    if spec.kind == "star":
-        return make_star(spec.n)
-    if spec.kind == "path":
-        return make_path(spec.n)
-    if spec.kind == "random":
-        return random_tree(spec.n, spec.seed)
-    tree = make_complete_binary(spec.h)
-    if spec.deleted_leaves:
-        tree = delete_leaves(tree, spec.deleted_leaves)
-    return tree
+    return FAMILIES[spec.kind].build(spec)

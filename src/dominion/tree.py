@@ -32,7 +32,8 @@ class Tree:
 
     Rejects anything that is not a tree: zero vertices, duplicate labels,
     self-loops, duplicate edges, undeclared endpoints, wrong edge count,
-    cycles, disconnection. Immutable after construction and safe to share
+    cycles, disconnection, and labels that cannot be ordered against each
+    other. Immutable after construction and safe to share
     across threads.
     """
 
@@ -52,17 +53,20 @@ class Tree:
         adj: dict[Label, list[Label]] = {v: [] for v in labels}
         seen: set[tuple[Label, Label]] = set()
         seen_add = seen.add
-        for u, v in edges:
-            if u == v:
-                raise NotATreeError(f"self-loop at {u!r}")
-            if u not in adj or v not in adj:
-                raise NotATreeError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                raise NotATreeError(f"duplicate edge ({u!r}, {v!r})")
-            seen_add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if u == v:
+                    raise NotATreeError(f"self-loop at {u!r}")
+                if u not in adj or v not in adj:
+                    raise NotATreeError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
+                key = (u, v) if u <= v else (v, u)
+                if key in seen:
+                    raise NotATreeError(f"duplicate edge ({u!r}, {v!r})")
+                seen_add(key)
+                adj[u].append(v)
+                adj[v].append(u)
+        except TypeError:  # from `u <= v` on labels of unorderable types
+            raise NotATreeError("vertex labels must be mutually orderable") from None
         del seen
         # Edge count matches, so connectivity alone rules out cycles.
         visited = {labels[0]}

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -90,6 +91,48 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "alt-even:n=8")
         assert code == 2
         assert "mismatch" in err
+
+    def test_path_runs_the_dp_once(self, capsys, monkeypatch):
+        from dominion import closed_form, dp
+
+        calls = []
+        real = dp.dp_count
+
+        def counting(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(dp, "dp_count", counting)
+        monkeypatch.setattr(closed_form, "dp_count", counting)
+        code, out, _ = run(capsys, "compute", "--json", "path:n=9")
+        assert code == 0
+        assert json.loads(out)["zeta"] == "1"
+        assert len(calls) == 1
+
+
+class TestCountsPastTheDigitLimit:
+    """Counts above the interpreter's 4300-digit int-to-str limit print exactly."""
+
+    def test_random_json(self, capsys):
+        code, out, err = run(capsys, "compute", "--json", "random:n=70000,seed=1")
+        assert (code, err) == (0, "")
+        zeta = json.loads(out)["zeta"]
+        assert zeta.isdigit() and len(zeta) > 4300
+
+    def test_comb_human(self, capsys):
+        code, out, err = run(capsys, "compute", "comb:n=15000")
+        assert (code, err) == (0, "")
+        zeta = out.split("zeta", 1)[1].split()[0]
+        assert Decimal(zeta) == 2**15000
+
+    def test_perturb_csv(self, capsys):
+        code, out, err = run(capsys, "perturb", "--h", "16", "--random-size", "30000", "--seed", "1")
+        assert (code, err) == (0, "")
+        header, line = out.splitlines()  # the X column outgrows csv's field limit
+        row = dict(zip(header.split(","), line.split(",")))
+        assert len(row["envelope"]) > 4300
+        assert Decimal(row["envelope"]) == 2 ** int(row["m1"]) * int(row["zeta_before"])
+        assert row["zeta_after"].isdigit()
 
 
 class TestOracleCommand:

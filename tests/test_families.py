@@ -22,6 +22,7 @@ from dominion import (
     parse_family_spec,
     random_tree,
 )
+from dominion.families import FAMILIES
 
 
 def edge_set(tree):
@@ -245,7 +246,9 @@ class TestFamilySpecGrammar:
             "interior:n=6",
             "path:n=7",
             "random:n=12,seed=42",
-        ],
+        ]
+        # one spec per entry of the family table, so a new kind is covered too
+        + [f"{kind}:" + ",".join(f"{p}=9" for p in family.params) for kind, family in FAMILIES.items()],
     )
     def test_round_trip(self, text):
         spec = parse_family_spec(text)

@@ -90,6 +90,11 @@ def test_constructor_rejects_unknown_endpoint():
         Tree(["a", "b"], [("a", "z")])
 
 
+def test_constructor_rejects_unorderable_labels():
+    with pytest.raises(NotATreeError, match="mutually orderable"):
+        Tree([1, "a"], [(1, "a")])
+
+
 def test_constructor_rejects_empty():
     with pytest.raises(EmptyTreeError):
         Tree([], [])
