@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
 from . import closed_form, dp, families, oracle, perturbation
 from .errors import DominionError, MismatchError, NoClosedFormError, ParseError
@@ -48,10 +48,28 @@ class ReportRow:
     method: str
 
 
+# Precision large enough that integer products and sums never round.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+_SPLIT_BITS = 4096  # counts up to this size convert directly
+
+
 def _digits(count: int) -> str:
     """Exact decimal form of a count of any size. `str(int)` refuses counts
-    above the interpreter's digit limit, which stays on for parsing input."""
-    return str(Decimal(count))
+    above the interpreter's digit limit, which stays on for parsing input,
+    and `Decimal(int)` takes quadratic time, so large counts are split."""
+    with localcontext(_EXACT):
+        return str(_decimal(count, {}))
+
+
+def _decimal(n: int, powers: dict[int, Decimal]) -> Decimal:
+    """`n` as a Decimal, converted by bit halves: n = high * 2^half + low."""
+    bits = n.bit_length()
+    if bits <= _SPLIT_BITS:
+        return Decimal(n)
+    half = bits // 2
+    if half not in powers:
+        powers[half] = Decimal(2) ** half
+    return _decimal(n >> half, powers) * powers[half] + _decimal(n & ((1 << half) - 1), powers)
 
 
 def _looks_like_spec(text: str) -> bool:

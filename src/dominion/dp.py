@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .tree import DominationSummary, RootedTree, Tree, root_at
+from .tree import DominationSummary, RootedTree, Tree
 
 StatePair = tuple  # (size: int | inf, count: int), count == 0 iff size == inf
 
@@ -63,15 +63,14 @@ def root_summary(state: DpState) -> DominationSummary:
 def dp_count(tree: Tree | RootedTree) -> DominationSummary:
     """Exact (gamma, zeta) of a tree in time linear in the vertex count.
 
-    Accepts a RootedTree, or a Tree which is then rooted at its first
-    label; the result is independent of the root.
+    Accepts a RootedTree, or a Tree, which is folded along the depth-first
+    traversal from its first label that validation recorded; the result is
+    independent of the root.
     """
-    if isinstance(tree, Tree):
-        tree = root_at(tree, tree.labels[0])
     return root_summary(_root_state(tree))
 
 
-def _root_state(rooted: RootedTree) -> DpState:
+def _root_state(rooted: Tree | RootedTree) -> DpState:
     # Postorder lists each parent's children, in order, directly before any
     # later sibling subtree, so a parent's child states are exactly the top
     # k entries of a running stack. Every combination rule below is

@@ -14,8 +14,8 @@ Label schemes (fixed so that witness sets are readable by eye):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from .errors import (
@@ -26,40 +26,36 @@ from .errors import (
     WouldBeEmptyError,
 )
 from .rng import SplitMix64
-from .tree import Tree
+from .tree import Tree, _IdEdges
+
+
+def _path_with_pendants(n: int, hosts, pendants: list[str]) -> Tree:
+    """Path v1..vn plus one pendant leaf per host (path vertex v(i+1) for id
+    i), labelled in the same order by `pendants`."""
+    labels = [f"v{i}" for i in range(1, n + 1)] + pendants
+    return Tree(labels, _IdEdges([*range(n - 1), *hosts], range(1, len(labels))))
+
 
 def make_path(n: int) -> Tree:
     """Path v1 - v2 - ... - vn."""
     if n < 1:
         raise InvalidParameterError("path needs n >= 1")
-    labels = [f"v{i}" for i in range(1, n + 1)]
-    return Tree(labels, [(f"v{i}", f"v{i + 1}") for i in range(1, n)])
+    return _path_with_pendants(n, (), [])
 
 
 def make_uniform_pendant(n: int, r: int) -> Tree:
     """Path v1..vn with r pendant leaves l<i>_1 .. l<i>_r on every vi."""
     if n < 1 or r < 1:
         raise InvalidParameterError("uniform pendant tree needs n >= 1 and r >= 1")
-    labels = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(1, n)]
-    for i in range(1, n + 1):
-        for j in range(1, r + 1):
-            leaf = f"l{i}_{j}"
-            labels.append(leaf)
-            edges.append((f"v{i}", leaf))
-    return Tree(labels, edges)
+    pendants = [f"l{i}_{j}" for i in range(1, n + 1) for j in range(1, r + 1)]
+    return _path_with_pendants(n, [i for i in range(n) for _ in range(r)], pendants)
 
 
 def make_interior_pendant(n: int) -> Tree:
     """Path v1..vn with one pendant l<i> on each interior vertex v2..v(n-1)."""
     if n < 2:
         raise InvalidParameterError("interior pendant tree needs n >= 2")
-    labels = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(1, n)]
-    for i in range(2, n):
-        labels.append(f"l{i}")
-        edges.append((f"v{i}", f"l{i}"))
-    return Tree(labels, edges)
+    return _path_with_pendants(n, range(1, n - 1), [f"l{i}" for i in range(2, n)])
 
 
 def make_alternating(n: int, parity: str) -> Tree:
@@ -69,22 +65,15 @@ def make_alternating(n: int, parity: str) -> Tree:
         raise InvalidParameterError("alternating comb needs n >= 2")
     if parity not in ("even", "odd"):
         raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    wanted = 0 if parity == "even" else 1
-    labels = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(1, n)]
-    for i in range(1, n + 1):
-        if i % 2 == wanted:
-            labels.append(f"l{i}")
-            edges.append((f"v{i}", f"l{i}"))
-    return Tree(labels, edges)
+    hosts = range(1 if parity == "even" else 0, n, 2)
+    return _path_with_pendants(n, hosts, [f"l{i + 1}" for i in hosts])
 
 
 def make_star(m: int) -> Tree:
     """Star with center c and leaves u1..um."""
     if m < 1:
         raise InvalidParameterError("star needs m >= 1")
-    labels = ["c"] + [f"u{i}" for i in range(1, m + 1)]
-    return Tree(labels, [("c", f"u{i}") for i in range(1, m + 1)])
+    return Tree(["c"] + [f"u{i}" for i in range(1, m + 1)], _IdEdges([0] * m, range(1, m + 1)))
 
 
 def make_complete_binary(h: int) -> Tree:
@@ -92,14 +81,9 @@ def make_complete_binary(h: int) -> Tree:
     if h < 1:
         raise InvalidParameterError("complete binary tree needs h >= 1")
     size = (1 << (h + 1)) - 1
-    labels = [f"b{k}" for k in range(1, size + 1)]
-    edges = []
-    append = edges.append
-    for k in range(1, 1 << h):
-        host = labels[k - 1]
-        append((host, labels[2 * k - 1]))
-        append((host, labels[2 * k]))
-    return Tree(labels, edges)
+    parents = range(size // 2)  # heap id k - 1 has children 2k - 1 and 2k
+    us = list(chain.from_iterable(zip(parents, parents)))
+    return Tree([f"b{k}" for k in range(1, size + 1)], _IdEdges(us, range(1, size)))
 
 
 def level_labels(h: int, level: int) -> list[str]:
@@ -123,14 +107,19 @@ def delete_leaves(tree: Tree, victims) -> Tree:
     leaves of `tree`. The victims must all be leaves of the original tree
     and must not be the whole vertex set."""
     victims = set(victims)
+    if not victims:
+        return tree  # trees are immutable
     for x in victims:
         if tree.degree(x) > 1:
             raise NotALeafError(f"{x!r} has degree {tree.degree(x)}")
     if len(victims) == tree.vertex_count:
         raise WouldBeEmptyError("deleting every vertex leaves no tree")
-    keep = [v for v in tree.labels if v not in victims]
-    kept_edges = [(u, v) for u, v in tree.edges if u not in victims and v not in victims]
-    return Tree(keep, kept_edges)
+    gone = set(map(tree._id, victims))
+    kept = [i for i in range(tree.vertex_count) if i not in gone]
+    new_id = dict(zip(kept, range(len(kept))))
+    pairs = [e for e in zip(tree._us, tree._vs) if gone.isdisjoint(e)]
+    edges = _IdEdges([new_id[u] for u, _ in pairs], [new_id[v] for _, v in pairs])
+    return Tree(map(tree.labels.__getitem__, kept), edges)
 
 
 def random_tree(n: int, seed: int) -> Tree:
@@ -141,27 +130,23 @@ def random_tree(n: int, seed: int) -> Tree:
         raise InvalidParameterError("random tree needs n >= 1")
     labels = [f"n{i}" for i in range(1, n + 1)]
     if n == 1:
-        return Tree(labels, [])
-    if n == 2:
-        return Tree(labels, [("n1", "n2")])
+        return Tree(labels, _IdEdges((), ()))
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for a in seq:
         degree[a] += 1
-    heap = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(heap)
-    edges = []
+    # Linear-time decoding: `leaf` is the smallest leaf; new ones past `first` are scanned for.
+    first = leaf = degree.index(1)
+    us: list[int] = []
     for a in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((labels[leaf], labels[a]))
+        us.append(leaf)
         degree[a] -= 1
-        if degree[a] == 1:
-            heapq.heappush(heap, a)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((labels[u], labels[v]))
-    return Tree(labels, edges)
+        if degree[a] == 1 and a < first:
+            leaf = a
+        else:
+            first = leaf = degree.index(1, first + 1)
+    return Tree(labels, _IdEdges(us + [leaf], seq + [n - 1]))
 
 
 @dataclass(frozen=True)
@@ -174,11 +159,6 @@ class Family:
     min_n: int = 1
 
 
-def _build_binary(spec: FamilySpec) -> Tree:
-    tree = make_complete_binary(spec.h)
-    return delete_leaves(tree, spec.deleted_leaves) if spec.deleted_leaves else tree
-
-
 # The one table of family kinds. Adding a kind means one entry here and,
 # if it has a closed form, one entry in `closed_form.FORMULAS`.
 FAMILIES = {
@@ -188,7 +168,7 @@ FAMILIES = {
     "alt-even": Family(("n",), lambda s: make_alternating(s.n, "even"), min_n=2),
     "alt-odd": Family(("n",), lambda s: make_alternating(s.n, "odd"), min_n=2),
     "star": Family(("m",), lambda s: make_star(s.n)),
-    "binary": Family(("h",), _build_binary),
+    "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves)),
     "path": Family(("n",), lambda s: make_path(s.n)),
     "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed)),
 }

@@ -1,16 +1,19 @@
 """Canonical tree data model: validated undirected trees, rooted views, and
 edge-list text I/O.
 
-Labels are opaque identifiers (strings from the parser and the generators;
-integers are accepted programmatically). All labels of one tree must be
-mutually orderable, since child ordering and serialization sort by label.
+Trees work on integer vertex ids, the positions in `labels`, and touch labels
+only at input and output. Labels are opaque identifiers (strings from the
+parser and the generators; integers are accepted programmatically). All
+labels of one tree must be mutually orderable, since child ordering and
+serialization sort by label.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from itertools import accumulate, chain
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTreeError, NotATreeError, ParseError, UnknownVertexError
 
@@ -27,79 +30,150 @@ class DominationSummary:
     zeta: int
 
 
+class _IdEdges(NamedTuple):
+    """Edge i joins vertex ids us[i] and vs[i]: the generators' and the parser's edges."""
+
+    us: Sequence[int]
+    vs: Sequence[int]
+
+
 class Tree:
     """Undirected tree, validated at construction.
 
-    Rejects anything that is not a tree: zero vertices, duplicate labels,
-    self-loops, duplicate edges, undeclared endpoints, wrong edge count,
-    cycles, disconnection, and labels that cannot be ordered against each
-    other. Immutable after construction and safe to share
-    across threads.
+    Rejects anything that is not a tree: zero vertices, duplicate or
+    unhashable labels, self-loops, duplicate edges, undeclared or unhashable
+    endpoints, wrong edge count, cycles, disconnection, and labels that
+    cannot be ordered against each other. Immutable after construction and
+    safe to share across threads.
     """
 
-    __slots__ = ("labels", "edges", "_adj")
+    __slots__ = ("labels", "_us", "_vs", "_offsets", "_nbrs", "_postorder_child_counts", "_ids")
 
     def __init__(self, labels: Iterable[Label], edges: Iterable[tuple[Label, Label]]):
         labels = tuple(labels)
-        edges = tuple((u, v) for u, v in edges)
-        if not labels:
+        n = len(labels)
+        if not n:
             raise EmptyTreeError("a tree needs at least one vertex")
-        if len(set(labels)) != len(labels):
-            raise NotATreeError("vertex labels are not distinct")
-        if len(edges) != len(labels) - 1:
-            raise NotATreeError(
-                f"{len(labels)} vertices need {len(labels) - 1} edges, got {len(edges)}"
-            )
-        adj: dict[Label, list[Label]] = {v: [] for v in labels}
-        seen: set[tuple[Label, Label]] = set()
-        seen_add = seen.add
         try:
-            for u, v in edges:
-                if u == v:
-                    raise NotATreeError(f"self-loop at {u!r}")
-                if u not in adj or v not in adj:
-                    raise NotATreeError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-                key = (u, v) if u <= v else (v, u)
-                if key in seen:
-                    raise NotATreeError(f"duplicate edge ({u!r}, {v!r})")
-                seen_add(key)
-                adj[u].append(v)
-                adj[v].append(u)
-        except TypeError:  # from `u <= v` on labels of unorderable types
-            raise NotATreeError("vertex labels must be mutually orderable") from None
-        del seen
-        # Edge count matches, so connectivity alone rules out cycles.
-        visited = {labels[0]}
-        visited_add = visited.add
-        stack = [labels[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in visited:
-                    visited_add(nb)
-                    stack.append(nb)
-        if len(visited) != len(labels):
+            distinct = len(set(labels)) == n
+        except TypeError:
+            raise NotATreeError("vertex labels must be hashable") from None
+        if not distinct:
+            raise NotATreeError("vertex labels are not distinct")
+        by_id = isinstance(edges, _IdEdges)
+        if not by_id:
+            edges = tuple((u, v) for u, v in edges)
+        m = len(edges.us if by_id else edges)
+        if m != n - 1:
+            raise NotATreeError(f"{n} vertices need {n - 1} edges, got {m}")
+        us, vs = edges if by_id else _edge_ids(labels, edges)
+        kinds = set(map(type, labels))
+        if kinds != {str} and kinds != {int}:
+            try:
+                sorted(labels)
+            except TypeError:
+                raise NotATreeError("vertex labels must be mutually orderable") from None
+        self._offsets, self._nbrs, self._postorder_child_counts = _csr_and_postorder(n, us, vs)
+        if len(self._postorder_child_counts) != n:
+            # n - 1 edges connect n vertices only if none is a self-loop or a
+            # repeat, so id edges are checked for those only now, to name one.
+            _edge_ids(labels, zip(map(labels.__getitem__, us), map(labels.__getitem__, vs)))
             raise NotATreeError("graph is disconnected")
-        self.labels = labels
-        self.edges = edges
-        self._adj = {v: tuple(nbs) for v, nbs in adj.items()}
+        self.labels, self._us, self._vs, self._ids = labels, us, vs, None
 
     @property
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def neighbors(self, v: Label) -> tuple[Label, ...]:
+    @property
+    def edges(self) -> tuple[tuple[Label, Label], ...]:
+        """The edges as given, as label pairs."""
+        name = self.labels.__getitem__
+        return tuple(zip(map(name, self._us), map(name, self._vs)))
+
+    def _id(self, v: Label) -> int:
+        if self._ids is None:  # built on first use; `compute` never needs it
+            self._ids = dict(zip(self.labels, range(len(self.labels))))
         try:
-            return self._adj[v]
-        except KeyError:
+            return self._ids[v]
+        except (KeyError, TypeError):
             raise UnknownVertexError(f"no vertex {v!r}") from None
 
+    def _neighbor_ids(self, i: int) -> array:
+        return self._nbrs[self._offsets[i]:self._offsets[i + 1]]
+
+    def neighbors(self, v: Label) -> tuple[Label, ...]:
+        return tuple(map(self.labels.__getitem__, self._neighbor_ids(self._id(v))))
+
     def degree(self, v: Label) -> int:
-        return len(self.neighbors(v))
+        return len(self._neighbor_ids(self._id(v)))
 
     def __repr__(self) -> str:
         return f"Tree({self.vertex_count} vertices)"
 
 
+def _edge_ids(labels: tuple, edges: Iterable[tuple[Label, Label]]) -> tuple[list, list]:
+    """Label edges as id edges, rejecting the first self-loop, unhashable or
+    undeclared endpoint, or repeated edge, in input order."""
+    n = len(labels)
+    ids = dict(zip(labels, range(n)))
+    ends: list[int] = []
+    seen: set[int] = set()
+    for u, v in edges:
+        if u == v:
+            raise NotATreeError(f"self-loop at {u!r}")
+        try:  # `end` names the endpoint being looked up when one is unhashable
+            a, b = ids.get(end := u), ids.get(end := v)
+        except TypeError:
+            raise NotATreeError(f"edge ({u!r}, {v!r}) has unhashable endpoint {end!r}") from None
+        if a is None or b is None:
+            raise NotATreeError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
+        key = a * n + b if a < b else b * n + a
+        if key in seen:
+            raise NotATreeError(f"duplicate edge ({u!r}, {v!r})")
+        seen.add(key)
+        ends += a, b
+    return ends[0::2], ends[1::2]
+
+
+def _csr_and_postorder(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array, list]:
+    """CSR adjacency, vertex i's neighbours (in edge order) being
+    ``nbrs[offsets[i]:offsets[i + 1]]``; then the child counts along the
+    postorder of a depth-first traversal from vertex 0, the sequence the
+    dynamic program folds, which comes out short if a vertex is missed."""
+    if us and not 0 <= min(chain(us, vs)) <= max(chain(us, vs)) < n:
+        raise NotATreeError("an edge uses an undeclared vertex id")
+    degree = [0] * n
+    for u in chain(us, vs):
+        degree[u] += 1
+    offsets = array("q", accumulate(degree, initial=0))
+    free = array("q", offsets)
+    nbrs = array("q", [0]) * offsets[-1]
+    for u, v in zip(us, vs):
+        nbrs[free[u]] = v
+        free[u] += 1
+        nbrs[free[v]] = u
+        free[v] += 1
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    counts: list[int] = []
+    pop, push, record = stack.pop, stack.append, counts.append
+    while stack:
+        v = pop()
+        k = 0
+        for w in nbrs[offsets[v]:offsets[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                push(w)
+                k += 1
+        record(k)
+    # Reversing a right-to-left preorder yields the left-to-right postorder.
+    counts.reverse()
+    return offsets, nbrs, counts
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class RootedTree:
     """A tree plus a designated root, with parent/children maps and a
     postorder that lists every child before its parent.
@@ -108,25 +182,14 @@ class RootedTree:
     and enumeration deterministic. Build instances with :func:`root_at`.
     """
 
-    __slots__ = ("base", "root", "parent", "children", "postorder", "_postorder_child_counts")
-
-    def __init__(
-        self,
-        base: Tree,
-        root: Label,
-        parent: dict[Label, Label],
-        children: dict[Label, tuple[Label, ...]],
-        postorder: tuple[Label, ...],
-        _postorder_child_counts: tuple[int, ...] | None = None,
-    ):
-        self.base = base
-        self.root = root
-        self.parent = parent
-        self.children = children
-        self.postorder = postorder
-        # Derived traversal metadata (child count per postorder position),
-        # precomputed by root_at so consumers need not re-walk `children`.
-        self._postorder_child_counts = _postorder_child_counts
+    base: Tree
+    root: Label
+    parent: dict[Label, Label]
+    children: dict[Label, tuple[Label, ...]]
+    postorder: tuple[Label, ...]
+    # Child count per postorder position, precomputed by root_at so that
+    # consumers need not re-walk `children`.
+    _postorder_child_counts: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"RootedTree({self.base.vertex_count} vertices, root={self.root!r})"
@@ -134,42 +197,29 @@ class RootedTree:
 
 def root_at(tree: Tree, root: Label) -> RootedTree:
     """Root `tree` at `root`, ordering each vertex's children by sorted label."""
-    adj = tree._adj
-    if root not in adj:
-        raise UnknownVertexError(f"no vertex {root!r}")
-    parent: dict[Label, Label] = {}
-    parent_get = parent.get
+    name = tree.labels.__getitem__
+    up = [-1] * tree.vertex_count  # parent ids
     children: dict[Label, tuple[Label, ...]] = {}
-    queue = deque((root,))
-    while queue:
-        v = queue.popleft()
-        p = parent_get(v)
-        kids = [nb for nb in adj[v] if nb != p]
-        if len(kids) > 1:
-            kids.sort()
-        kids = tuple(kids)
-        children[v] = kids
-        for c in kids:
-            parent[c] = v
-        queue.extend(kids)
-    # Reversing a right-to-left preorder yields the left-to-right postorder.
-    stack = [root]
-    post: list[Label] = []
-    counts: list[int] = []
+    stack = [tree._id(root)]
     while stack:
         v = stack.pop()
-        kids = children[v]
-        post.append(v)
-        counts.append(len(kids))
-        stack.extend(kids)
-    post.reverse()
-    counts.reverse()
-    return RootedTree(tree, root, parent, children, tuple(post), tuple(counts))
+        p = up[v]
+        kids = [w for w in tree._neighbor_ids(v) if w != p]
+        if len(kids) > 1:
+            kids.sort(key=name)
+        for w in kids:
+            up[w] = v
+        children[name(v)] = tuple(map(name, kids))
+        stack += kids
+    parent = {c: v for v, kids in children.items() for c in kids}
+    # `children` holds a right-to-left preorder; reversed, the left-to-right postorder.
+    counts = tuple(map(len, reversed(children.values())))
+    return RootedTree(tree, root, parent, children, tuple(reversed(children)), counts)
 
 
 def leaves(tree: Tree) -> set[Label]:
     """All vertices of degree at most one (the whole set for a single vertex)."""
-    return {v for v in tree.labels if len(tree._adj[v]) <= 1}
+    return {v for v in tree.labels if tree.degree(v) <= 1}
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -180,39 +230,31 @@ def parse_edge_list(text: str) -> Tree:
     line as two whitespace-separated labels. ``#`` starts a comment line.
     Labels are preserved verbatim as strings.
     """
-    labels: list[str] = []
-    known: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    ids: dict[str, int] = {}  # label -> id, in order of first appearance
+    ends: list[int] = []  # edge endpoints, two per edge
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if tokens[0] == "vertices:":
             if not header_allowed:
                 raise ParseError(
                     f"line {lineno}: 'vertices:' header must be the first significant line"
                 )
             for tok in tokens[1:]:
-                if tok in known:
+                if tok in ids:
                     raise ParseError(f"line {lineno}: duplicate vertex {tok!r} in header")
-                known.add(tok)
-                labels.append(tok)
-            header_allowed = False
-            continue
+                ids[tok] = len(ids)
+        elif len(tokens) != 2:
+            raise ParseError(f"line {lineno}: expected two labels, got {raw.strip()!r}")
+        else:
+            ends.append(ids.setdefault(tokens[0], len(ids)))
+            ends.append(ids.setdefault(tokens[1], len(ids)))
         header_allowed = False
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected two labels, got {line!r}")
-        u, v = tokens
-        for tok in (u, v):
-            if tok not in known:
-                known.add(tok)
-                labels.append(tok)
-        edges.append((u, v))
-    if not labels:
+    if not ids:
         raise EmptyTreeError("no vertices declared")
-    return Tree(labels, edges)
+    return Tree(ids, _IdEdges(ends[0::2], ends[1::2]))
 
 
 def to_edge_list(tree: Tree) -> str:
@@ -220,7 +262,13 @@ def to_edge_list(tree: Tree) -> str:
     sorted with each edge's endpoints sorted. Round-trips through
     :func:`parse_edge_list` with identical label and edge sets (labels are
     written as strings; the text format is string-typed)."""
-    lines = ["vertices: " + " ".join(str(v) for v in sorted(tree.labels))]
-    normalized = sorted((u, v) if u <= v else (v, u) for u, v in tree.edges)
-    lines.extend(f"{u} {v}" for u, v in normalized)
-    return "\n".join(lines) + "\n"
+    labels = tree.labels
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = dict(zip(order, range(n)))
+    names = [str(labels[i]) for i in order]
+    # An edge sorts as the label ranks of its endpoints, packed low * n + high.
+    ranked = zip(map(rank.__getitem__, tree._us), map(rank.__getitem__, tree._vs))
+    keys = sorted(a * n + b if a < b else b * n + a for a, b in ranked)
+    edges = (f"{names[k // n]} {names[k % n]}" for k in keys)
+    return "\n".join(["vertices: " + " ".join(names), *edges]) + "\n"

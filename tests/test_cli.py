@@ -110,6 +110,50 @@ class TestCompute:
         assert len(calls) == 1
 
 
+    def test_compute_never_roots(self, capsys, monkeypatch, tmp_path):
+        # The DP folds the traversal that Tree validation already made, so
+        # neither `compute` nor `dp_count(Tree)` builds a RootedTree.
+        import sys
+
+        from dominion import dp, families, tree
+
+        def refuse(*_):
+            raise AssertionError("root_at was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dominion" and hasattr(module, "root_at"):
+                monkeypatch.setattr(module, "root_at", refuse)
+        with pytest.raises(AssertionError):
+            tree.root_at(families.make_path(2), "v1")
+        path = tmp_path / "p4.edges"
+        path.write_text("a b\nb c\nc d\n")
+        specs = ["uniform:n=4,r=2", "comb:n=4", "interior:n=6", "alt-even:n=6", "alt-odd:n=3",
+                 "star:m=5", "binary:h=3,delete=b8+b11", "path:n=7", "random:n=12,seed=42"]
+        assert {s.partition(":")[0] for s in specs} == set(families.KINDS)
+        for text in specs + [str(path)]:
+            assert cli.compute_row(text).gamma >= 1
+        assert dp.dp_count(families.make_complete_binary(4)) == DominationSummary(9, 1)
+
+
+class TestDigits:
+    """`_digits` converts by bit halves above `_SPLIT_BITS`; it must match `str`."""
+
+    @pytest.mark.parametrize(
+        "bits", [0, 1, 2, 100, cli._SPLIT_BITS, cli._SPLIT_BITS + 1, 3 * cli._SPLIT_BITS, 60_000]
+    )
+    def test_matches_str(self, bits):
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n in {(1 << bits) - 1, 1 << bits, 3**bits, (1 << bits) + 12345}:
+                assert cli._digits(n) == str(n)
+                assert cli._digits(-n) == str(-n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestCountsPastTheDigitLimit:
     """Counts above the interpreter's 4300-digit int-to-str limit print exactly."""
 
@@ -182,6 +226,26 @@ class TestGenerate:
         run(capsys, "generate", "random:n=10,seed=7", str(a))
         run(capsys, "generate", "random:n=10,seed=7", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            ("binary:h=10", "bf2bc3675c83c14a8dda0b6307812f5ea39e849b6e5ce5e3616ac6d4a6075167"),
+            ("random:n=2000,seed=7",
+             "21dfd8cca3689eab196ef7e12f7eda5debcd01c4f4d4bf66179c1fb8d14e5fa3"),
+            ("path:n=999", "fad66fdc875e3fc5b31dcf5ded0b5fe15bdc31130347bad77cf035e166aaccdb"),
+            ("uniform:n=50,r=3",
+             "4786181f5b1d86da5b8719d08c2d0549e0a00a32cd0fb1ae5f65205fb1ee04a9"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, spec, digest):
+        # Digests recorded from the serializer that sorted label pairs; the
+        # rank-pair sort must reproduce its output byte for byte.
+        import hashlib
+
+        code, out, _ = run(capsys, "generate", spec, "-")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stdout(self, capsys):
         code, out, _ = run(capsys, "generate", "star:m=2", "-")

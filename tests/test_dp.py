@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dominion import (
     DominationSummary,
     DpState,
+    build_tree,
     dp_count,
     make_alternating,
     make_complete_binary,
@@ -15,10 +16,12 @@ from dominion import (
     make_uniform_pendant,
     oracle_count,
     parse_edge_list,
+    parse_family_spec,
     random_tree,
     root_at,
     root_summary,
 )
+from dominion.families import FAMILIES, KINDS
 
 
 class TestKnownValues:
@@ -114,6 +117,35 @@ class TestRootInvariance:
             assert len(results) == 1, f"root choice changed the answer: n={n} seed={seed}"
             done += 1
             seed += 1
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_validation_fold_matches_any_rooting_random(n, seed, data):
+    # dp_count(Tree) folds the traversal from the first label that validation
+    # recorded; rooting anywhere else and folding that must agree.
+    tree = random_tree(n, seed)
+    root = data.draw(st.sampled_from(tree.labels))
+    assert dp_count(tree) == dp_count(root_at(tree, root))
+
+
+_PARAM_RANGES = {"n": (0, 12), "r": (1, 3), "m": (1, 8), "h": (1, 5), "seed": (0, 2**32)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_validation_fold_matches_any_rooting_every_kind(kind, data):
+    params = []
+    for p in FAMILIES[kind].params:
+        low, high = _PARAM_RANGES[p]
+        if p == "n":
+            low, high = FAMILIES[kind].min_n, FAMILIES[kind].min_n + high
+        params.append(f"{p}={data.draw(st.integers(low, high))}")
+    tree = build_tree(parse_family_spec(f"{kind}:{','.join(params)}"))
+    root = data.draw(st.sampled_from(tree.labels))
+    assert dp_count(tree) == dp_count(root_at(tree, root))
 
 
 def test_hand_built_rooted_tree_without_metadata():

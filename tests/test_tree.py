@@ -95,6 +95,77 @@ def test_constructor_rejects_unorderable_labels():
         Tree([1, "a"], [(1, "a")])
 
 
+def test_constructor_rejects_unhashable_endpoint():
+    with pytest.raises(NotATreeError, match=r"unhashable endpoint \['a'\]"):
+        Tree(["a", "b"], [(["a"], "b")])
+    with pytest.raises(NotATreeError, match=r"unhashable endpoint \['b'\]"):
+        Tree(["a", "b"], [("a", ["b"])])
+
+
+def test_constructor_rejects_unhashable_label():
+    with pytest.raises(NotATreeError, match="hashable"):
+        Tree([["a"], "b"], [])
+
+
+# One tree defect per entry: labels and label edges, the same graph as
+# edge-list text, and the error `Tree` raises for it.
+REJECTIONS = {
+    "empty": ([], [], "# nothing\n", EmptyTreeError),
+    "edge count": (["a", "b", "c"], [("a", "b")], "vertices: a b c\na b\n", NotATreeError),
+    "self-loop": (["a", "b", "c"], [("a", "b"), ("c", "c")], "vertices: a b c\na b\nc c\n",
+                  NotATreeError),
+    "duplicate edge": (["a", "b", "c"], [("a", "b"), ("b", "a")], "vertices: a b c\na b\nb a\n",
+                       NotATreeError),
+    "cycle": (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a")],
+              "vertices: a b c d\na b\nb c\nc a\n", NotATreeError),
+    "first defect wins": (["a", "b", "c", "d"], [("a", "b"), ("d", "d"), ("b", "a")],
+                          "vertices: a b c d\na b\nd d\nb a\n", NotATreeError),
+}
+
+
+@pytest.mark.parametrize("defect", REJECTIONS)
+def test_rejection_is_the_same_on_every_path(defect):
+    # Label edges, parsed text and id edges (the generators' form) all reach
+    # one validation and fail it with the same error.
+    from dominion.tree import _IdEdges
+
+    labels, edges, text, error = REJECTIONS[defect]
+    with pytest.raises(error) as by_label:
+        Tree(labels, edges)
+    with pytest.raises(error) as by_text:
+        parse_edge_list(text)
+    ids = {v: i for i, v in enumerate(labels)}
+    with pytest.raises(error) as by_id:
+        Tree(labels, _IdEdges([ids[u] for u, _ in edges], [ids[v] for _, v in edges]))
+    assert str(by_label.value) == str(by_id.value)
+    if labels:
+        assert str(by_label.value) == str(by_text.value)
+
+
+def test_id_edges_outside_the_labels_are_rejected():
+    from dominion.tree import _IdEdges
+
+    for us, vs in (([0], [2]), ([-1], [0])):
+        with pytest.raises(NotATreeError, match="undeclared"):
+            Tree(["a", "b"], _IdEdges(us, vs))
+
+
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_delete_leaves_matches_label_construction(n, seed, data):
+    from dominion import delete_leaves
+
+    tree = random_tree(n, seed)
+    candidates = sorted(leaves(tree))
+    victims = set(data.draw(st.lists(st.sampled_from(candidates), max_size=len(candidates) - 1)))
+    pruned = delete_leaves(tree, victims)
+    keep = [v for v in tree.labels if v not in victims]
+    expected = Tree(keep, [(u, v) for u, v in tree.edges if u not in victims and v not in victims])
+    assert (pruned.labels, pruned.edges) == (expected.labels, expected.edges)
+    assert [pruned.neighbors(v) for v in keep] == [expected.neighbors(v) for v in keep]
+
+
 def test_constructor_rejects_empty():
     with pytest.raises(EmptyTreeError):
         Tree([], [])
