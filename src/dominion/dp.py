@@ -17,11 +17,11 @@ Unreachable states carry size ``inf`` and count 0. Combination rules:
 * needy(v): every child must be ``dominated`` (a selected child would
   dominate v; a needy child could never be dominated afterwards).
 * dominated(v): children are ``selected`` or ``dominated`` with at least
-  one selected. Computed complementarily: take each child's cheaper of the
-  two options; if the all-dominated assignment ties that optimum, subtract
-  its count, and if nothing remains, pay the cheapest single upgrade of
-  one child to ``selected`` (counts summed over the children attaining
-  that cheapest upgrade).
+  one selected. Folded child by child from (inf, 0): either an earlier
+  child is already selected, and this child takes the cheaper of its
+  ``selected`` and ``dominated`` states, or every earlier child is
+  ``dominated`` (the running needy(v) pair) and this child is
+  ``selected``. The cheaper option wins; on a size tie the counts add.
 
 Counts are exact unbounded integers. The traversal is iterative, so input
 size is not limited by the interpreter recursion limit.
@@ -91,76 +91,50 @@ def _root_state(rooted: Tree | RootedTree) -> DpState:
             push(leaf_state)
             continue
 
-        s_size = 1
+        s_size = 1  # v selected; each child in its cheapest state
         s_count = 1
-        y_size = 0
+        d_size = inf  # v dominated: some child so far selected
+        d_count = 0
+        y_size = 0  # v needy: every child so far dominated
         y_count = 1
-        a_size = 0  # per-child min(selected, dominated), ignoring >=1-selected
-        a_count = 1
-        all_dom_size = 0
-        all_dom_count = 1
-        # Cheapest single upgrade of one child to selected, maintained
-        # incrementally: delta_count carries, for each child attaining
-        # delta, its selected count times the dominated counts of the
-        # other children seen so far; later children scale it by their
-        # dominated counts.
-        delta = inf
-        delta_count = 0
         for _ in range(k):
             ss, sc, ds, dc, ys, yc = pop()
 
-            best = ss
-            cnt = sc
-            if ds < best:
-                best = ds
-                cnt = dc
-            elif ds == best:
-                cnt += dc
-            if ys < best:
-                best = ys
-                cnt = yc
-            elif ys == best:
-                cnt += yc
-            s_size += best
-            s_count *= cnt
+            # m: the child's cheaper of selected and dominated
+            if ss < ds:
+                m_size = ss
+                m_count = sc
+            elif ds < ss:
+                m_size = ds
+                m_count = dc
+            else:
+                m_size = ss
+                m_count = sc + dc
+
+            if ys < m_size:
+                s_size += ys
+                s_count *= yc
+            elif ys == m_size:
+                s_size += ys
+                s_count *= m_count + yc
+            else:
+                s_size += m_size
+                s_count *= m_count
+
+            # Either an earlier child is already selected (d x m), or every
+            # earlier child is dominated and this one is selected (y x ss).
+            d_size += m_size
+            d_count *= m_count
+            up = y_size + ss
+            if up < d_size:
+                d_size = up
+                d_count = y_count * sc
+            elif up == d_size:
+                d_count += y_count * sc
 
             y_size += ds
             y_count *= dc
 
-            if ss < ds:
-                a_size += ss
-                a_count *= sc
-            elif ds < ss:
-                a_size += ds
-                a_count *= dc
-            else:
-                a_size += ss
-                a_count *= sc + dc
-
-            if dc:  # dead weight otherwise: an unreachable child state kills
-                delta_count *= dc  # the all-dominated assignment entirely
-                step = ss - ds
-                if step < delta:
-                    delta = step
-                    delta_count = sc * all_dom_count
-                elif step == delta:
-                    delta_count += sc * all_dom_count
-            all_dom_size += ds
-            all_dom_count *= dc
-
-        if all_dom_count and all_dom_size == a_size:
-            remaining = a_count - all_dom_count
-            if remaining:
-                d_size, d_count = a_size, remaining
-            else:
-                # Every child is strictly cheaper dominated than selected;
-                # pay the cheapest single upgrade to get a selected child.
-                d_size, d_count = a_size + delta, delta_count
-        else:
-            d_size, d_count = a_size, a_count
-
-        if not y_count:
-            y_size = inf
         push((s_size, s_count, d_size, d_count, y_size, y_count))
 
     ss, sc, ds, dc, ys, yc = stack[-1]

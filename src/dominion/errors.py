@@ -40,7 +40,8 @@ class NoClosedFormError(DominionError):
 
 
 class TooLargeError(DominionError):
-    """The tree exceeds the exhaustive-search size cap."""
+    """The tree exceeds the exhaustive-search size cap, or its search would
+    test more subsets than the oracle's budget."""
 
 
 class NotALevelLeafError(DominionError):

@@ -11,12 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import or_
 
 from .errors import TooLargeError, UnknownVertexError
 from .tree import DominationSummary, Label, Tree
 
 DEFAULT_CAP = 24
+# Most subsets one search may test: every subset of a DEFAULT_CAP-vertex
+# tree, so no tree the default cap accepts is ever refused.
+SUBSET_BUDGET = 2**DEFAULT_CAP
 
 
 def is_dominating(tree: Tree, subset) -> bool:
@@ -28,8 +32,17 @@ def is_dominating(tree: Tree, subset) -> bool:
     return len(covered) == tree.vertex_count
 
 
-def _closed_neighborhood_masks(tree: Tree) -> tuple[list[Label], list[int]]:
-    """Bit i of each mask stands for the i-th label in sorted order."""
+def _searches(tree: Tree, cap: int):
+    """Yield (k, order, masks) for the subset sizes k = 1, 2, ..., n in turn.
+
+    Bit i of each mask stands for the i-th label of `order`, the labels in
+    sorted order. Refuses a tree above `cap` before building the masks, and
+    size k before any of its subsets is tested if sizes 1..k together hold
+    more than SUBSET_BUDGET subsets.
+    """
+    n = tree.vertex_count
+    if n > cap:
+        raise TooLargeError(f"{n} vertices exceeds the oracle cap of {cap}")
     order = sorted(tree.labels)
     position = {v: i for i, v in enumerate(order)}
     masks = []
@@ -38,17 +51,22 @@ def _closed_neighborhood_masks(tree: Tree) -> tuple[list[Label], list[int]]:
         for nb in tree.neighbors(v):
             mask |= 1 << position[nb]
         masks.append(mask)
-    return order, masks
+    tested = 0
+    for k in range(1, n + 1):
+        tested += comb(n, k)
+        if tested > SUBSET_BUDGET:
+            raise TooLargeError(
+                f"{n} vertices: searching sizes up to {k} tests more than "
+                f"2**{DEFAULT_CAP} subsets"
+            )
+        yield k, order, masks
 
 
 def oracle_count(tree: Tree, cap: int = DEFAULT_CAP) -> DominationSummary:
-    """Exact (gamma, zeta) by exhaustive search; refuses trees above `cap`."""
-    n = tree.vertex_count
-    if n > cap:
-        raise TooLargeError(f"{n} vertices exceeds the oracle cap of {cap}")
-    _, masks = _closed_neighborhood_masks(tree)
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
+    """Exact (gamma, zeta) by exhaustive search; refuses trees above `cap`
+    and searches that would test more than SUBSET_BUDGET subsets."""
+    full = (1 << tree.vertex_count) - 1
+    for k, _, masks in _searches(tree, cap):
         count = 0
         for combo in itertools.combinations(masks, k):
             if reduce(or_, combo) == full:
@@ -72,13 +90,10 @@ class WitnessSets:
 
 
 def enumerate_min_sets(tree: Tree, cap: int = DEFAULT_CAP) -> WitnessSets:
-    """List every minimum dominating set explicitly (same cap as counting)."""
+    """List every minimum dominating set explicitly (same limits as counting)."""
     n = tree.vertex_count
-    if n > cap:
-        raise TooLargeError(f"{n} vertices exceeds the oracle cap of {cap}")
-    order, masks = _closed_neighborhood_masks(tree)
     full = (1 << n) - 1
-    for k in range(1, n + 1):
+    for k, order, masks in _searches(tree, cap):
         found = []
         for indices in itertools.combinations(range(n), k):
             mask = 0

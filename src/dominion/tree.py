@@ -265,10 +265,12 @@ def to_edge_list(tree: Tree) -> str:
     labels = tree.labels
     n = len(labels)
     order = sorted(range(n), key=labels.__getitem__)
-    rank = dict(zip(order, range(n)))
+    rank = [0] * n  # the inverse permutation of order
+    for r, i in enumerate(order):
+        rank[i] = r
     names = [str(labels[i]) for i in order]
     # An edge sorts as the label ranks of its endpoints, packed low * n + high.
     ranked = zip(map(rank.__getitem__, tree._us), map(rank.__getitem__, tree._vs))
     keys = sorted(a * n + b if a < b else b * n + a for a, b in ranked)
     edges = (f"{names[k // n]} {names[k % n]}" for k in keys)
-    return "\n".join(["vertices: " + " ".join(names), *edges]) + "\n"
+    return "\n".join(["vertices: " + " ".join(names), *edges, ""])

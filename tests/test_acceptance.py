@@ -186,10 +186,10 @@ def test_c07_oracle_equivalence_corpus():
 def test_c08_linear_time_scaling():
     timings = {}
     for h in (18, 19, 20):
-        rooted = root_at(make_complete_binary(h), "b1")
-        best = min(_timed_dp(rooted) for _ in range(3))
+        tree = make_complete_binary(h)
+        best = min(_timed_dp(tree) for _ in range(3))
         timings[h] = best
-        del rooted
+        del tree
         gc.collect()
     r19 = timings[19] / timings[18]
     r20 = timings[20] / timings[19]
@@ -203,9 +203,9 @@ def test_c08_linear_time_scaling():
     )
 
 
-def _timed_dp(rooted):
+def _timed_dp(tree):
     start = time.perf_counter()
-    dp_count(rooted)
+    dp_count(tree)
     return time.perf_counter() - start
 
 

@@ -204,6 +204,12 @@ class TestOracleCommand:
         assert code == 1
         assert "cap" in err
 
+    def test_subset_budget(self, capsys):
+        code, out, err = run(capsys, "oracle", "path:n=1000", "--cap", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGenerate:
     def test_binary_h2(self, capsys, tmp_path):

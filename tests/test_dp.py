@@ -148,6 +148,52 @@ def test_validation_fold_matches_any_rooting_every_kind(kind, data):
     assert dp_count(tree) == dp_count(root_at(tree, root))
 
 
+def _brute_force_states(tree, root):
+    """(size, count) of the three root classes over every vertex subset D:
+    selected (root in D, all dominated), dominated (root not in D, some
+    child in D, all dominated), needy (root and its children not in D,
+    every vertex but the root dominated)."""
+    index = {v: i for i, v in enumerate(tree.labels)}
+    n = len(index)
+    closed = [1 << i for i in range(n)]
+    for u, v in tree.edges:
+        closed[index[u]] |= 1 << index[v]
+        closed[index[v]] |= 1 << index[u]
+    full = (1 << n) - 1
+    r = 1 << index[root]
+    children = sum(1 << index[c] for c in root_at(tree, root).children[root])
+    best = {"selected": (inf, 0), "dominated": (inf, 0), "needy": (inf, 0)}
+    covered = [0] * (1 << n)  # covered[D] = union of closed neighbourhoods
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        covered[subset] = covered[subset ^ low] | closed[low.bit_length() - 1]
+    for subset in range(1 << n):
+        if subset & r:
+            state, target = "selected", full
+        elif subset & children:
+            state, target = "dominated", full
+        else:
+            state, target = "needy", full & ~r
+        if covered[subset] == target:
+            size, count = best[state]
+            k = subset.bit_count()
+            if k < size:
+                best[state] = (k, 1)
+            elif k == size:
+                best[state] = (k, count + 1)
+    return DpState(**best)
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_every_state_matches_brute_force_at_every_root(n, seed):
+    from dominion.dp import _root_state
+
+    tree = random_tree(n, seed)
+    for root in tree.labels:
+        assert _root_state(root_at(tree, root)) == _brute_force_states(tree, root), root
+
+
 def test_hand_built_rooted_tree_without_metadata():
     # RootedTree assembled directly (no precomputed child counts)
     from dominion import RootedTree

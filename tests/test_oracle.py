@@ -21,6 +21,7 @@ from dominion import (
     parse_edge_list,
     random_tree,
 )
+from dominion.oracle import DEFAULT_CAP, _searches
 
 
 class TestIsDominating:
@@ -58,6 +59,30 @@ class TestOracleCount:
         with pytest.raises(TooLargeError):
             oracle_count(make_path(5), cap=4)
         assert oracle_count(make_path(5), cap=5) == DominationSummary(2, 3)
+
+    def test_subset_budget_stops_before_an_oversized_size(self, monkeypatch):
+        tried = []
+        combinations = itertools.combinations
+
+        def spy(pool, k):
+            tried.append(k)
+            return combinations(pool, k)
+
+        monkeypatch.setattr(itertools, "combinations", spy)
+        with pytest.raises(TooLargeError, match="2\\*\\*24 subsets"):
+            oracle_count(make_path(1000), cap=1000)
+        with pytest.raises(TooLargeError):
+            enumerate_min_sets(make_path(1000), cap=1000)
+        assert tried == [1, 2, 1, 2]
+
+    def test_subset_budget_allows_an_early_size(self):
+        # 59 vertices: C(59, 1) subsets are far inside the budget.
+        assert oracle_count(make_star(59), cap=60) == DominationSummary(1, 1)
+        assert enumerate_min_sets(make_star(59), cap=60).sets == (("c",),)
+
+    def test_subset_budget_allows_every_size_within_the_default_cap(self):
+        sizes = [k for k, _, _ in _searches(make_path(DEFAULT_CAP), DEFAULT_CAP)]
+        assert sizes == list(range(1, DEFAULT_CAP + 1))
 
 
 class TestEnumerate:
