@@ -54,7 +54,7 @@ _SPLIT_BITS = 4096  # counts up to this size convert directly
 
 
 def _digits(count: int) -> str:
-    """Exact decimal form of a count of any size. `str(int)` refuses counts
+    """Exact decimal form of an int of any size. `str(int)` refuses ints
     above the interpreter's digit limit, which stays on for parsing input,
     and `Decimal(int)` takes quadratic time, so large counts are split."""
     with localcontext(_EXACT):
@@ -177,8 +177,8 @@ def _cmd_perturb(args) -> int:
                 rep.h,
                 families.format_leaf_set(rep.deleted),
                 rep.m1,
-                rep.gamma_before,
-                rep.gamma_after,
+                _digits(rep.gamma_before),
+                _digits(rep.gamma_after),
                 _digits(rep.zeta_before),
                 _digits(rep.zeta_after),
                 _digits(rep.envelope),

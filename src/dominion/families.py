@@ -96,9 +96,13 @@ def level_labels(h: int, level: int) -> list[str]:
 def bottom_leaf_index(h: int, label: str) -> int:
     """Heap index of a level-h leaf label, rejecting anything else."""
     if isinstance(label, str) and label.startswith("b") and label[1:].isdigit():
-        k = int(label[1:])
-        if (1 << h) <= k < (1 << (h + 1)):
-            return k
+        try:
+            k = int(label[1:])
+        except ValueError:  # past int()'s 4300-digit limit, as leaves are from h = 14284 on
+            pass
+        else:
+            if (1 << h) <= k < (1 << (h + 1)):
+                return k
     raise NotALevelLeafError(f"{label!r} is not a level-{h} leaf of the height-{h} tree")
 
 

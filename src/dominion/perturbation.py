@@ -6,6 +6,11 @@ m1 counts the level-(h-1) parents losing exactly one child. The
 after-values always come from the dynamic program, never from a formula:
 the envelope is a claimed inequality, not an equality, and `bound_holds`
 records honestly whether it was satisfied.
+
+No tree is built. Every untouched vertex on one level of the complete binary
+tree has the same dynamic-programming state, so a report combines h states
+for the intact levels and recombines only the ancestors of X: O(|X| * h)
+combines instead of a fold over all 2^(h+1) - 1 vertices.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .closed_form import binary_summary
-from .dp import dp_count
-from .errors import InvalidParameterError
-from .families import bottom_leaf_index, delete_leaves, level_labels, make_complete_binary
+from .dp import DpState, combine, root_summary
+from .errors import InvalidParameterError, UnknownVertexError
+from .families import bottom_leaf_index, level_labels
 from .rng import SplitMix64
 
 
@@ -37,12 +42,16 @@ class LeafDeletionReport:
     bound_holds: bool
 
 
+def _hits(h: int, deleted) -> Counter:
+    """Level-(h-1) parent index -> how many of its children are in `deleted`."""
+    return Counter(bottom_leaf_index(h, label) >> 1 for label in deleted)
+
+
 def m1_of(h: int, deleted) -> int:
     """Number of level-(h-1) parents with exactly one child in `deleted`."""
     if h < 1:
         raise InvalidParameterError("height must be >= 1")
-    parents = Counter(bottom_leaf_index(h, label) // 2 for label in set(deleted))
-    return sum(1 for hits in parents.values() if hits == 1)
+    return list(_hits(h, set(deleted)).values()).count(1)
 
 
 def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
@@ -51,14 +60,16 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     if h < 2:
         raise InvalidParameterError("leaf-deletion analysis needs h >= 2")
     deleted = frozenset(deleted)
-    m1 = m1_of(h, deleted)
+    hits = _hits(h, deleted)
     if len(deleted) >= 1 << h:
         raise InvalidParameterError("cannot delete the entire bottom level")
+    for label in deleted:
+        # int() also reads b08 and non-ASCII digits; only the plain spelling names a vertex
+        if label[1] == "0" or not label.isascii():
+            raise UnknownVertexError(f"no vertex {label!r}")
+    m1 = list(hits.values()).count(1)
     before = binary_summary(h)
-    tree = make_complete_binary(h)
-    if deleted:
-        tree = delete_leaves(tree, deleted)
-    after = dp_count(tree)
+    after = root_summary(_deletion_state(h, hits))
     envelope = (1 << m1) * before.zeta
     return LeafDeletionReport(
         h=h,
@@ -71,6 +82,23 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
         envelope=envelope,
         bound_holds=after.zeta <= envelope,
     )
+
+
+def _deletion_state(h: int, hits) -> DpState:
+    """Root state of the height-h complete binary tree after deleting, below
+    each level-(h-1) parent index p, hits[p] (1 or 2) of its leaves."""
+    leaf = combine(())
+    by_loss = {1: combine((leaf,)), 2: leaf}  # a bottom parent losing 1 or 2 children
+    touched = {p: by_loss[c] for p, c in hits.items()}
+    rest = combine((leaf, leaf))  # the state of every untouched vertex on touched's level
+    for _ in range(h - 1):
+        touched = {
+            p: combine((touched.get(2 * p, rest), touched.get(2 * p + 1, rest)))
+            for p in {k >> 1 for k in touched}
+        }
+        rest = combine((rest, rest))
+    ss, sc, ds, dc, ys, yc = touched.get(1, rest)
+    return DpState((ss, sc), (ds, dc), (ys, yc))
 
 
 def single_leaf_doubling_check(h: int) -> bool:
@@ -96,4 +124,4 @@ def random_leaf_subset(h: int, size: int, seed: int) -> frozenset[str]:
             f"subset size must be in [0, {(1 << h) - 1}] for height {h}"
         )
     rng = SplitMix64(seed)
-    return frozenset(rng.sample(level_labels(h, h), size))
+    return frozenset(f"b{k}" for k in rng.sample(range(1 << h, 2 << h), size))

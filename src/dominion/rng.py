@@ -50,11 +50,16 @@ class SplitMix64:
                 return x % n
 
     def sample(self, items, k: int) -> list:
-        """First k entries of a seeded Fisher-Yates shuffle of `items`."""
-        pool = list(items)
-        if not 0 <= k <= len(pool):
+        """First k entries of a seeded Fisher-Yates shuffle of `items`, a
+        sized sequence such as a range. Only the k swaps are made, on a dict
+        of displaced slots, so the sequence is never listed."""
+        n = len(items)
+        if not 0 <= k <= n:
             raise ValueError("sample size out of range")
+        moved: dict[int, int] = {}  # slot -> index of the item now in it
+        picked = []
         for i in range(k):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            j = i + self.below(n - i)
+            picked.append(items[moved.get(j, j)])
+            moved[j] = moved.pop(i, i)
+        return picked

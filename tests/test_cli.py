@@ -305,6 +305,45 @@ class TestPerturb:
         code, _, err = run(capsys, "perturb", "--h", "1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "h,delete,err",
+        [
+            ("3", "b08", "error: no vertex 'b08'\n"),
+            ("3", "b8+b08", "error: no vertex 'b08'\n"),
+            ("3", "b\u0668", "error: no vertex 'b\u0668'\n"),
+            ("3", "b08+b4", "error: 'b4' is not a level-3 leaf of the height-3 tree\n"),
+            ("2", "b4+b5+b6+b07", "error: cannot delete the entire bottom level\n"),
+        ],
+    )
+    def test_label_errors(self, capsys, h, delete, err):
+        assert run(capsys, "perturb", "--h", h, "--delete", delete) == (1, "", err)
+
+    def test_large_height(self, capsys):
+        leaf = f"b{1 << 1100}"
+        code, out, err = run(capsys, "perturb", "--h", "1100", "--delete", leaf)
+        assert (code, err) == (0, "")
+        row = list(csv.reader(io.StringIO(out)))[1]
+        assert row[:3] == ["1100", leaf, "1"]
+        assert row[3] == row[4] and row[5:] == ["1", "2", "2", "true"]
+
+    def test_gamma_past_the_digit_limit(self, capsys):
+        from dominion import binary_summary
+
+        code, out, err = run(capsys, "perturb", "--h", "14290")
+        assert (code, err) == (0, "")
+        row = list(csv.reader(io.StringIO(out)))[1]
+        gamma = str(Decimal(binary_summary(14290).gamma))
+        assert len(gamma) > 4300 and row[3:5] == [gamma, gamma]
+
+    def test_random_size_at_height_40(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, "perturb", "--h", "40", "--random-size", "5", "--seed", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert len(list(csv.reader(io.StringIO(out)))[1][1].split("+")) == 5
+
 
 class TestVerifyTables:
     def test_fresh_build_passes(self, capsys):

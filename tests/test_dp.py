@@ -194,6 +194,45 @@ def test_every_state_matches_brute_force_at_every_root(n, seed):
         assert _root_state(root_at(tree, root)) == _brute_force_states(tree, root), root
 
 
+def _fold_with_combine(tree):
+    """The root state from `combine`, fed each vertex's children in pop order."""
+    from dominion.dp import combine
+
+    stack = []
+    for k in tree._postorder_child_counts:
+        stack.append(combine([stack.pop() for _ in range(k)]))
+    ss, sc, ds, dc, ys, yc = stack[-1]
+    return DpState((ss, sc), (ds, dc), (ys, yc))
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_combine_matches_the_inline_fold(n, seed):
+    from dominion.dp import _root_state
+
+    tree = random_tree(n, seed)
+    assert _fold_with_combine(tree) == _root_state(tree)
+
+
+_SPECS = ["uniform:n=4,r=2", "comb:n=7", "interior:n=6", "alt-even:n=9", "alt-odd:n=8", "star:m=5",
+          "binary:h=4", "binary:h=4,delete=b16+b17+b20+b31", "path:n=11", "random:n=30,seed=5"]
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_combine_matches_the_inline_fold_every_kind(spec):
+    from dominion.dp import _root_state
+
+    assert {s.partition(":")[0] for s in _SPECS} == set(KINDS)
+    tree = build_tree(parse_family_spec(spec))
+    assert _fold_with_combine(tree) == _root_state(tree)
+
+
+def test_combine_of_no_children_is_the_leaf_state():
+    from dominion.dp import combine
+
+    assert combine(()) == (1, 1, inf, 0, 0, 1)
+
+
 def test_hand_built_rooted_tree_without_metadata():
     # RootedTree assembled directly (no precomputed child counts)
     from dominion import RootedTree

@@ -231,6 +231,23 @@ class TestSplitMix64:
         assert len(picked) == 10
         assert len(set(picked)) == 10
 
+    @pytest.mark.parametrize("items", [range(1), range(2), range(5, 37), "abcdefghij", tuple("xyz" * 4)])
+    def test_sample_is_a_shuffle_prefix(self, items):
+        # Same draws and same order as a Fisher-Yates shuffle of the listed items.
+        for seed in range(6):
+            for k in range(len(items) + 1):
+                pool, rng = list(items), SplitMix64(seed)
+                for i in range(k):
+                    j = i + rng.below(len(pool) - i)
+                    pool[i], pool[j] = pool[j], pool[i]
+                assert SplitMix64(seed).sample(items, k) == pool[:k]
+
+    def test_sample_never_lists_the_sequence(self):
+        picked = SplitMix64(1).sample(range(1 << 60), 3)
+        assert len(set(picked)) == 3 and all(0 <= x < 1 << 60 for x in picked)
+        with pytest.raises(ValueError):
+            SplitMix64(1).sample(range(3), 4)
+
 
 class TestFamilySpecGrammar:
     @pytest.mark.parametrize(

@@ -1,10 +1,19 @@
+import random
+from collections import Counter
+from decimal import Decimal
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dominion import (
+    DominationSummary,
     InvalidParameterError,
     NotALevelLeafError,
     SplitMix64,
+    UnknownVertexError,
     analyze_deletion,
+    binary_summary,
     delete_leaves,
     dp_count,
     m1_of,
@@ -13,6 +22,9 @@ from dominion import (
     random_leaf_subset,
     single_leaf_doubling_check,
 )
+from dominion.dp import _root_state
+from dominion.families import bottom_leaf_index
+from dominion.perturbation import _deletion_state
 
 
 class TestM1:
@@ -91,8 +103,99 @@ class TestAnalyzeDeletion:
         assert (report.gamma_after, report.zeta_after) == (direct.gamma, direct.zeta)
 
 
+def _leaf_set(h, shape, size, seed):
+    """Bottom-level heap indices: `size` random leaves, `size` whole sibling
+    pairs, or every leaf but one, by `shape`."""
+    first = 1 << h
+    rng = random.Random(seed)
+    if shape == "random":
+        return set(rng.sample(range(first, 2 * first), min(size, first - 1)))
+    if shape == "siblings":
+        parents = rng.sample(range(first // 2, first), min(size, first // 2 - 1))
+        return {k for p in parents for k in (2 * p, 2 * p + 1)}
+    return set(range(first, 2 * first)) - {first + rng.randrange(first)}
+
+
+class TestIncrementalDeletion:
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from(["random", "siblings", "all-but-one"]),
+        st.integers(min_value=0, max_value=1023),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(2, "random", 0, 0)
+    @example(10, "random", 0, 0)
+    @example(10, "siblings", 1, 0)
+    @example(10, "all-but-one", 0, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rebuild(self, h, shape, size, seed):
+        lost = _leaf_set(h, shape, size, seed)
+        rebuilt = delete_leaves(make_complete_binary(h), {f"b{k}" for k in lost})
+        assert _deletion_state(h, Counter(k >> 1 for k in lost)) == _root_state(rebuilt)
+
+    def test_builds_no_tree(self, monkeypatch):
+        from dominion import dp, families, perturbation, tree
+
+        deleted = {"b64", "b65", "b70", "b127"}
+        expected = dp_count(delete_leaves(make_complete_binary(6), deleted))
+
+        def boom(*_):
+            raise AssertionError("a report built or folded a tree")
+
+        for module, name in [(perturbation, "make_complete_binary"), (perturbation, "delete_leaves"),
+                             (perturbation, "dp_count"), (families, "make_complete_binary"),
+                             (families, "delete_leaves"), (dp, "dp_count"), (dp, "_root_state")]:
+            monkeypatch.setattr(module, name, boom, raising=False)
+        monkeypatch.setattr(tree.Tree, "__init__", boom)
+        report = analyze_deletion(6, deleted)
+        assert (report.gamma_after, report.zeta_after) == (expected.gamma, expected.zeta)
+
+    @pytest.mark.parametrize("h", [1100, 2000])
+    def test_doubling_far_past_a_buildable_tree(self, h):
+        # Sizes pass 2^1024 here, where inf + size would overflow.
+        report = analyze_deletion(h, {f"b{(1 << h) + 5}"})
+        before = binary_summary(h)
+        assert (report.gamma_before, report.zeta_before) == (before.gamma, before.zeta)
+        assert report.gamma_after == before.gamma
+        assert report.zeta_after == 2 * before.zeta
+
+    def test_period_three_law_to_h_1100(self):
+        # Level compression checks the closed form far past any tree that
+        # could be built and folded vertex by vertex.
+        for h in range(2, 1101):
+            report = analyze_deletion(h, frozenset())
+            assert binary_summary(h) == DominationSummary(report.gamma_after, report.zeta_after), h
+
+
+class TestLabelErrorParity:
+    # Non-canonical spellings of a level-h index name no vertex of the tree;
+    # the errors keep their order: not a level leaf, whole level, no vertex.
+    @pytest.mark.parametrize("deleted", [{"b08"}, {"b8", "b08"}, {"b\u0668"}, {"b8", "b\u0668"}])
+    def test_non_canonical_label_names_no_vertex(self, deleted):
+        odd = next(label for label in deleted if label != "b8")
+        with pytest.raises(UnknownVertexError, match=f"no vertex '{odd}'"):
+            analyze_deletion(3, deleted)
+
+    def test_not_a_level_leaf_comes_first(self):
+        with pytest.raises(NotALevelLeafError, match="'b4'"):
+            analyze_deletion(3, {"b08", "b4"})
+
+    def test_whole_level_comes_before_no_vertex(self):
+        with pytest.raises(InvalidParameterError, match="entire bottom level"):
+            analyze_deletion(2, {"b4", "b5", "b6", "b07"})
+
+    def test_label_past_the_int_digit_limit(self):
+        h = 14285  # every level-h label has 4301 digits
+        label = "b" + str(Decimal(1 << h))
+        assert len(label) == 4302
+        with pytest.raises(NotALevelLeafError):
+            bottom_leaf_index(h, label)
+        with pytest.raises(NotALevelLeafError):
+            analyze_deletion(h, {label})
+
+
 class TestDoubling:
-    @pytest.mark.parametrize("h", [2, 3, 4])
+    @pytest.mark.parametrize("h", range(2, 13))
     def test_holds(self, h):
         assert single_leaf_doubling_check(h)
 
@@ -123,6 +226,19 @@ class TestRandomLeafSubset:
         with pytest.raises(InvalidParameterError):
             random_leaf_subset(3, -1, 0)
         assert random_leaf_subset(3, 0, 0) == frozenset()
+
+    @pytest.mark.parametrize("h", range(1, 11))
+    def test_draws_match_a_shuffled_level_list(self, h):
+        # The level is never listed; the draws are those of a Fisher-Yates
+        # shuffle of the listed labels, as the reproducibility contract says.
+        for seed in (0, 1, 7, 2**40 + 3):
+            for size in {0, 1, (1 << h) // 3, (1 << h) - 1}:
+                pool = [f"b{k}" for k in range(1 << h, 2 << h)]
+                rng = SplitMix64(seed)
+                for i in range(size):
+                    j = i + rng.below(len(pool) - i)
+                    pool[i], pool[j] = pool[j], pool[i]
+                assert random_leaf_subset(h, size, seed) == frozenset(pool[:size])
 
 
 def sibling_free_subset(h, size, seed):
