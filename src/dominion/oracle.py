@@ -1,18 +1,22 @@
 """Brute-force ground truth by size-ascending subset search.
 
-Deliberately unclever: every subset of size k is tested for k = 1, 2, ...
+Deliberately unclever: the subsets of size k are searched for k = 1, 2, ...
 until some size admits a dominating set, and all dominating subsets of
 that size are then counted (or listed). Its only virtue is obvious
 correctness, which is exactly what the fast paths are validated against.
+
+The search runs depth-first over index combinations i1 < i2 < ..., carrying
+the OR of the chosen closed-neighborhood masks, and makes one cut: it drops
+index i and every later one as soon as the prefix OR together with
+``rest[i]``, the OR of masks i..n-1, misses a vertex. Every extension of
+the prefix by indices >= i covers at most that union, so none of the
+subsets cut can dominate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
-from operator import or_
 
 from .errors import TooLargeError, UnknownVertexError
 from .tree import DominationSummary, Label, Tree
@@ -62,15 +66,36 @@ def _searches(tree: Tree, cap: int):
         yield k, order, masks
 
 
+def _covers(masks: list[int], k: int, full: int):
+    """Yield, in lexicographic order, the index tuples i1 < ... < ik whose
+    masks OR to `full`, cutting every prefix that can no longer cover."""
+    n = len(masks)
+    rest = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest[i] = masks[i] | rest[i + 1]
+    chosen: list[int] = []
+
+    def extend(start: int, covered: int, left: int):
+        for i in range(start, n - left + 1):
+            if covered | rest[i] != full:
+                return
+            if left == 1:
+                if covered | masks[i] == full:
+                    yield (*chosen, i)
+            else:
+                chosen.append(i)
+                yield from extend(i + 1, covered | masks[i], left - 1)
+                chosen.pop()
+
+    return extend(0, 0, k)
+
+
 def oracle_count(tree: Tree, cap: int = DEFAULT_CAP) -> DominationSummary:
     """Exact (gamma, zeta) by exhaustive search; refuses trees above `cap`
     and searches that would test more than SUBSET_BUDGET subsets."""
     full = (1 << tree.vertex_count) - 1
     for k, _, masks in _searches(tree, cap):
-        count = 0
-        for combo in itertools.combinations(masks, k):
-            if reduce(or_, combo) == full:
-                count += 1
+        count = sum(1 for _ in _covers(masks, k, full))
         if count:
             return DominationSummary(k, count)
     raise AssertionError("unreachable: the full vertex set dominates")
@@ -91,16 +116,9 @@ class WitnessSets:
 
 def enumerate_min_sets(tree: Tree, cap: int = DEFAULT_CAP) -> WitnessSets:
     """List every minimum dominating set explicitly (same limits as counting)."""
-    n = tree.vertex_count
-    full = (1 << n) - 1
+    full = (1 << tree.vertex_count) - 1
     for k, order, masks in _searches(tree, cap):
-        found = []
-        for indices in itertools.combinations(range(n), k):
-            mask = 0
-            for i in indices:
-                mask |= masks[i]
-            if mask == full:
-                found.append(tuple(order[i] for i in indices))
+        found = [tuple(order[i] for i in indices) for indices in _covers(masks, k, full)]
         if found:
             for witness in found:  # re-verify before handing sets out
                 if not is_dominating(tree, witness):

@@ -22,9 +22,11 @@ class SplitMix64:
     * ``next_u64``: state += 0x9E3779B97F4A7C15 (mod 2^64); then mix
       ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
       z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
-    * ``below(n)``: draw ``next_u64`` until the value is below
-      ``(2^64 // n) * n``, then return ``value % n`` (rejection sampling,
-      exactly uniform on ``[0, n)``).
+    * ``below(n)``: let ``w`` be the least word count with ``2^(64w) >= n``
+      (``w = 1`` for every ``n <= 2^64``). Draw values of ``w`` consecutive
+      ``next_u64`` words, the first one most significant, until the value
+      is below ``(2^(64w) // n) * n``, then return ``value % n`` (rejection
+      sampling, exactly uniform on ``[0, n)``).
     """
 
     __slots__ = ("_state",)
@@ -43,9 +45,18 @@ class SplitMix64:
         """Exactly uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("bound must be positive")
-        limit = ((1 << 64) // n) * n
+        if n <= 1 << 64:  # one word: random_tree's hot path, kept free of the word loop
+            limit = ((1 << 64) // n) * n
+            while True:
+                x = self.next_u64()
+                if x < limit:
+                    return x % n
+        words = ((n - 1).bit_length() + 63) // 64
+        limit = ((1 << 64 * words) // n) * n
         while True:
-            x = self.next_u64()
+            x = 0
+            for _ in range(words):
+                x = x << 64 | self.next_u64()
             if x < limit:
                 return x % n
 
@@ -53,7 +64,7 @@ class SplitMix64:
         """First k entries of a seeded Fisher-Yates shuffle of `items`, a
         sized sequence such as a range. Only the k swaps are made, on a dict
         of displaced slots, so the sequence is never listed."""
-        n = len(items)
+        n = _size(items)
         if not 0 <= k <= n:
             raise ValueError("sample size out of range")
         moved: dict[int, int] = {}  # slot -> index of the item now in it
@@ -63,3 +74,11 @@ class SplitMix64:
             picked.append(items[moved.get(j, j)])
             moved[j] = moved.pop(i, i)
         return picked
+
+
+def _size(items) -> int:
+    """len(items), except that a range is sized from its bounds: len() of a
+    range longer than sys.maxsize raises OverflowError."""
+    if isinstance(items, range):
+        return max(0, -((items.start - items.stop) // items.step))
+    return len(items)

@@ -210,6 +210,27 @@ class TestOracleCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("--json", "comb:n=11"), "431b05ca55d34e1b51d3cc13560b016044c4f8e97ec2bedef20e3f7eb7a1531a"),
+            (("--json", "alt-odd:n=16"), "c8d65d97c83dd5857fb3b50c738c77a2fa92aa5b50d9366fcbc50815686078d1"),
+            (("--json", "random:n=22,seed=3"),
+             "f1a0e465e0196f814e20df580be6c5acac361607ad065cbad9608824501bf91c"),
+            (("--enumerate", "alt-even:n=10"),
+             "f57f0b8295dbf8a5beab052f4ec6a8647a58c05ed92fd75e1f74802cf8f03757"),
+            (("--enumerate", "comb:n=6"), "1ab1b05740a18df02b5767ac74834995b859e3f5b207abdfab0cc03bee92634f"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, argv, digest):
+        # Digests recorded from the unpruned search, which tested every
+        # subset; the pruned search must reproduce its output byte for byte.
+        import hashlib
+
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGenerate:
     def test_binary_h2(self, capsys, tmp_path):
@@ -343,6 +364,20 @@ class TestPerturb:
         assert time.perf_counter() - start < 1.0
         assert (code, err) == (0, "")
         assert len(list(csv.reader(io.StringIO(out)))[1][1].split("+")) == 5
+
+    @pytest.mark.parametrize("h,size,extra", [(63, 5, ("--seed", "1")), (200, 3, ())])
+    def test_random_size_past_the_ssize_t_range(self, capsys, h, size, extra):
+        # 2^63 leaves overflow len() of the level's range; 2^200 are more
+        # than one 64-bit draw can index.
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, "perturb", "--h", str(h), "--random-size", str(size), *extra)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        leaves = list(csv.reader(io.StringIO(out)))[1][1].split("+")
+        assert len(set(leaves)) == size
+        assert all(1 << h <= int(leaf[1:]) < 2 << h for leaf in leaves)
 
 
 class TestVerifyTables:

@@ -231,7 +231,8 @@ class TestSplitMix64:
         assert len(picked) == 10
         assert len(set(picked)) == 10
 
-    @pytest.mark.parametrize("items", [range(1), range(2), range(5, 37), "abcdefghij", tuple("xyz" * 4)])
+    @pytest.mark.parametrize("items", [range(1), range(2), range(5, 37), "abcdefghij", tuple("xyz" * 4),
+                                       range(-5, 20, 4), range(30, 2, -3), range(7, 3), range(3, 9, -1)])
     def test_sample_is_a_shuffle_prefix(self, items):
         # Same draws and same order as a Fisher-Yates shuffle of the listed items.
         for seed in range(6):
@@ -241,6 +242,19 @@ class TestSplitMix64:
                     j = i + rng.below(len(pool) - i)
                     pool[i], pool[j] = pool[j], pool[i]
                 assert SplitMix64(seed).sample(items, k) == pool[:k]
+
+    def test_below_past_one_word_joins_draws_first_word_high(self):
+        words = SplitMix64(9)
+        a, b, c = words.next_u64(), words.next_u64(), words.next_u64()
+        assert SplitMix64(9).below(1 << 128) == a << 64 | b
+        assert SplitMix64(9).below(1 << 64) == a
+        assert SplitMix64(9).below((1 << 64) + 1) == (a << 64 | b) % ((1 << 64) + 1)
+        assert SplitMix64(9).below(1 << 130) == (a << 128 | b << 64 | c) % (1 << 130)
+
+    def test_sample_of_a_range_past_sys_maxsize(self):
+        picked = SplitMix64(1).sample(range(1 << 63, 1 << 64), 5)
+        assert len(set(picked)) == 5 and all(1 << 63 <= x < 1 << 64 for x in picked)
+        assert picked[0] == (1 << 63) + SplitMix64(1).below(1 << 63)
 
     def test_sample_never_lists_the_sequence(self):
         picked = SplitMix64(1).sample(range(1 << 60), 3)

@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from dominion import (
     DominationSummary,
     TooLargeError,
     UnknownVertexError,
+    build_tree,
     enumerate_min_sets,
     is_dominating,
     leaves,
@@ -19,8 +22,11 @@ from dominion import (
     make_uniform_pendant,
     oracle_count,
     parse_edge_list,
+    parse_family_spec,
     random_tree,
 )
+from dominion import oracle
+from dominion.families import KINDS
 from dominion.oracle import DEFAULT_CAP, _searches
 
 
@@ -62,13 +68,13 @@ class TestOracleCount:
 
     def test_subset_budget_stops_before_an_oversized_size(self, monkeypatch):
         tried = []
-        combinations = itertools.combinations
+        covers = oracle._covers
 
-        def spy(pool, k):
+        def spy(masks, k, full):
             tried.append(k)
-            return combinations(pool, k)
+            return covers(masks, k, full)
 
-        monkeypatch.setattr(itertools, "combinations", spy)
+        monkeypatch.setattr(oracle, "_covers", spy)
         with pytest.raises(TooLargeError, match="2\\*\\*24 subsets"):
             oracle_count(make_path(1000), cap=1000)
         with pytest.raises(TooLargeError):
@@ -180,3 +186,55 @@ def test_witness_sets_obey_invariants(n, seed):
     for members in witnesses.sets:
         assert len(members) == witnesses.gamma
         assert is_dominating(tree, members)
+
+
+def _reference(tree):
+    """The unpruned search: OR every k-subset of closed neighborhoods, sizes
+    ascending, and keep the first size that dominates."""
+    order = sorted(tree.labels)
+    closed = {v: {v, *tree.neighbors(v)} for v in order}
+    for k in range(1, len(order) + 1):
+        found = [
+            combo
+            for combo in itertools.combinations(order, k)
+            if len(set().union(*(closed[v] for v in combo))) == len(order)
+        ]
+        if found:
+            return k, found
+    raise AssertionError("the full vertex set dominates")
+
+
+def _assert_matches_reference(tree):
+    gamma, sets = _reference(tree)
+    assert oracle_count(tree) == DominationSummary(gamma, len(sets))
+    witnesses = enumerate_min_sets(tree)
+    assert witnesses.gamma == gamma
+    assert list(witnesses.sets) == sets
+
+
+@given(st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=2**50))
+@settings(max_examples=150, deadline=None)
+def test_pruned_search_matches_the_unpruned_reference(n, seed):
+    _assert_matches_reference(random_tree(n, seed))
+
+
+_SMALL_SPECS = ["uniform:n=3,r=2", "comb:n=6", "interior:n=7", "alt-even:n=9", "alt-odd:n=10",
+                "star:m=6", "binary:h=2", "binary:h=3,delete=b8+b9+b12", "path:n=13",
+                "random:n=14,seed=5"]
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS)
+def test_pruned_search_matches_the_unpruned_reference_every_kind(spec):
+    assert {s.partition(":")[0] for s in _SMALL_SPECS} == set(KINDS)
+    _assert_matches_reference(build_tree(parse_family_spec(spec)))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**8 - 1), max_size=10),
+       st.integers(min_value=1, max_value=10))
+@settings(max_examples=200, deadline=None)
+def test_covers_is_the_filtered_combination_list(masks, k):
+    # Any masks, not only closed neighborhoods: the cut must never drop a cover.
+    full = 2**8 - 1
+    want = [c for c in itertools.combinations(range(len(masks)), k)
+            if reduce(or_, (masks[i] for i in c)) == full]
+    assert list(oracle._covers(masks, k, full)) == want
