@@ -45,13 +45,7 @@ class SplitMix64:
         """Exactly uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("bound must be positive")
-        if n <= 1 << 64:  # one word: random_tree's hot path, kept free of the word loop
-            limit = ((1 << 64) // n) * n
-            while True:
-                x = self.next_u64()
-                if x < limit:
-                    return x % n
-        words = ((n - 1).bit_length() + 63) // 64
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
         limit = ((1 << 64 * words) // n) * n
         while True:
             x = 0
@@ -64,7 +58,12 @@ class SplitMix64:
         """First k entries of a seeded Fisher-Yates shuffle of `items`, a
         sized sequence such as a range. Only the k swaps are made, on a dict
         of displaced slots, so the sequence is never listed."""
-        n = _size(items)
+        # len() of a range longer than sys.maxsize raises OverflowError, so a
+        # step-1 range (the level of leaves) is sized from its bounds.
+        if isinstance(items, range) and items.step == 1:
+            n = max(0, items.stop - items.start)
+        else:
+            n = len(items)
         if not 0 <= k <= n:
             raise ValueError("sample size out of range")
         moved: dict[int, int] = {}  # slot -> index of the item now in it
@@ -75,10 +74,3 @@ class SplitMix64:
             moved[j] = moved.pop(i, i)
         return picked
 
-
-def _size(items) -> int:
-    """len(items), except that a range is sized from its bounds: len() of a
-    range longer than sys.maxsize raises OverflowError."""
-    if isinstance(items, range):
-        return max(0, -((items.start - items.stop) // items.step))
-    return len(items)
