@@ -83,8 +83,14 @@ def _load_input(text: str) -> tuple[str, Tree, families.FamilySpec | None]:
         spec = families.parse_family_spec(text)
         return spec.spec_string(), families.build_tree(spec), spec
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as handle:
-            return text, parse_edge_list(handle.read()), None
+        try:
+            with open(text, encoding="utf-8") as handle:
+                contents = handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {text!r}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{text!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        return text, parse_edge_list(contents), None
     raise ParseError(f"{text!r} is neither a family spec nor an existing file")
 
 

@@ -11,7 +11,7 @@ serialization sort by label.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -187,9 +187,12 @@ class RootedTree:
     parent: dict[Label, Label]
     children: dict[Label, tuple[Label, ...]]
     postorder: tuple[Label, ...]
-    # Child count per postorder position, precomputed by root_at so that
-    # consumers need not re-walk `children`.
-    _postorder_child_counts: tuple[int, ...] | None = None
+    # Child count per postorder position, the sequence the dynamic program folds.
+    _postorder_child_counts: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        kids = self.children.__getitem__
+        self._postorder_child_counts = list(map(len, map(kids, self.postorder)))
 
     def __repr__(self) -> str:
         return f"RootedTree({self.base.vertex_count} vertices, root={self.root!r})"
@@ -213,8 +216,7 @@ def root_at(tree: Tree, root: Label) -> RootedTree:
         stack += kids
     parent = {c: v for v, kids in children.items() for c in kids}
     # `children` holds a right-to-left preorder; reversed, the left-to-right postorder.
-    counts = tuple(map(len, reversed(children.values())))
-    return RootedTree(tree, root, parent, children, tuple(reversed(children)), counts)
+    return RootedTree(tree, root, parent, children, tuple(reversed(children)))
 
 
 def leaves(tree: Tree) -> set[Label]:

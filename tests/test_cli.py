@@ -82,6 +82,21 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "uniform:n=0,r=1")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["compute", "oracle"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_input_is_usage_error(self, capsys, tmp_path, command, kind):
+        path = tmp_path / "input.edges"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe a b\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+        assert "Traceback" not in err
+
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         from dominion import closed_form
 

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import inf
 
 import pytest
@@ -225,6 +226,58 @@ def test_combine_matches_the_inline_fold_every_kind(spec):
     assert {s.partition(":")[0] for s in _SPECS} == set(KINDS)
     tree = build_tree(parse_family_spec(spec))
     assert _fold_with_combine(tree) == _root_state(tree)
+
+
+def _vertex_states(tree):
+    """Every vertex's state, in postorder, from a fold with `combine`."""
+    from dominion.dp import combine
+
+    states, stack = [], []
+    for k in tree._postorder_child_counts:
+        stack.append(combine([stack.pop() for _ in range(k)]))
+        states.append(stack[-1])
+    return states
+
+
+def _assert_one_combine_per_parent(monkeypatch, tree):
+    from dominion import dp
+
+    arities = []
+    combine = dp.combine
+
+    def spy(children):
+        arities.append(len(children))
+        return combine(children)
+
+    expected = dp._root_state(tree)
+    monkeypatch.setattr(dp, "combine", spy)
+    assert dp._root_state(tree) == expected
+    assert arities == [k for k in tree._postorder_child_counts if k]
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_the_fold_calls_combine_once_per_parent(n, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_one_combine_per_parent(monkeypatch, random_tree(n, seed))
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_the_fold_calls_combine_once_per_parent_every_kind(monkeypatch, spec):
+    _assert_one_combine_per_parent(monkeypatch, build_tree(parse_family_spec(spec)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_combine_is_symmetric_in_its_children(data):
+    from dominion.dp import combine
+
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    spec = data.draw(st.sampled_from(_SPECS))
+    pool = _vertex_states(random_tree(n, seed)) + _vertex_states(build_tree(parse_family_spec(spec)))
+    children = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    assert {combine(list(order)) for order in permutations(children)} == {combine(children)}
 
 
 def test_combine_of_no_children_is_the_leaf_state():
