@@ -84,7 +84,7 @@ def _load_input(text: str) -> tuple[str, Tree, families.FamilySpec | None]:
         return spec.spec_string(), families.build_tree(spec), spec
     if os.path.exists(text):
         try:
-            with open(text, encoding="utf-8") as handle:
+            with open(text, encoding="utf-8-sig") as handle:
                 contents = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {text!r}: {exc.strerror or exc}") from None
@@ -138,14 +138,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_oracle(args) -> int:
     source, tree, _ = _load_input(args.input)
-    if args.enumerate:
-        witnesses = oracle.enumerate_min_sets(tree, cap=args.cap)
-        for members in witnesses.sets:
+    if args.format == "enumerate":
+        for members in oracle.enumerate_min_sets(tree, cap=args.cap).sets:
             print(" ".join(str(v) for v in members))
-        return EXIT_OK
-    summary = oracle.oracle_count(tree, cap=args.cap)
-    row = ReportRow(source, tree.vertex_count, summary.gamma, _digits(summary.zeta), "oracle")
-    _emit_row(row, args.format)
+    else:
+        summary = oracle.oracle_count(tree, cap=args.cap)
+        row = ReportRow(source, tree.vertex_count, summary.gamma, _digits(summary.zeta), "oracle")
+        _emit_row(row, args.format)
     return EXIT_OK
 
 
@@ -155,26 +154,23 @@ def _cmd_generate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     return EXIT_OK
 
 
 def _cmd_perturb(args) -> int:
     h = args.height
     if args.all_single_leaves:
-        reports = [
-            perturbation.analyze_deletion(h, {leaf})
-            for leaf in families.level_labels(h, h)
-        ]
-    elif args.delete is not None:
-        victims = frozenset(args.delete.split("+")) if args.delete else frozenset()
-        reports = [perturbation.analyze_deletion(h, victims)]
+        leaf_sets = [{leaf} for leaf in families.level_labels(h, h)]
     elif args.random_size is not None:
-        victims = perturbation.random_leaf_subset(h, args.random_size, args.seed)
-        reports = [perturbation.analyze_deletion(h, victims)]
-    else:
-        reports = [perturbation.analyze_deletion(h, frozenset())]
+        leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed)]
+    else:  # no selection flag, like --delete "", deletes nothing
+        leaf_sets = [args.delete.split("+") if args.delete else ()]
+    reports = [perturbation.analyze_deletion(h, x) for x in leaf_sets]
     writer = csv.writer(sys.stdout)
     writer.writerow(PERTURB_COLUMNS)
     for rep in reports:
@@ -278,14 +274,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_format_flags(parser) -> None:
+_JSON = ("json", "emit JSON")
+_CSV = ("csv", "emit CSV")
+
+
+def _add_format_flags(parser, *formats) -> None:
+    """One mutually exclusive --NAME per (name, help) pair, stored as `format`."""
     group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--json", dest="format", action="store_const", const="json", help="emit JSON"
-    )
-    group.add_argument(
-        "--csv", dest="format", action="store_const", const="csv", help="emit CSV"
-    )
+    for name, text in formats:
+        group.add_argument(f"--{name}", dest="format", action="store_const", const=name, help=text)
     parser.set_defaults(format="human")
 
 
@@ -300,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
         "compute", help="gamma and zeta via the dynamic program (plus formula cross-check)"
     )
     p_compute.add_argument("input", help="edge-list file or family spec such as binary:h=3")
-    _add_format_flags(p_compute)
+    _add_format_flags(p_compute, _JSON, _CSV)
     p_compute.set_defaults(func=_cmd_compute)
 
     p_oracle = sub.add_parser("oracle", help="brute-force count or enumeration (small trees)")
     p_oracle.add_argument("input", help="edge-list file or family spec")
     p_oracle.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
                           help="vertex-count limit (default %(default)s)")
-    p_oracle.add_argument("--enumerate", action="store_true",
-                          help="print every minimum dominating set, one per line")
-    _add_format_flags(p_oracle)
+    _add_format_flags(
+        p_oracle, _JSON, _CSV, ("enumerate", "print every minimum dominating set, one per line")
+    )
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_generate = sub.add_parser("generate", help="write a family as an edge-list file")
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify-tables", help="recompute every reference cell several ways; exit 2 on mismatch"
     )
-    _add_format_flags(p_verify)
+    _add_format_flags(p_verify, _JSON)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -127,6 +127,11 @@ def combine(children) -> tuple:
 _LEAF_STATE = combine(())
 
 
+def _as_state(combined: tuple) -> DpState:
+    """The DpState of one of `combine`'s 6-tuples."""
+    return DpState(combined[0:2], combined[2:4], combined[4:6])
+
+
 def dp_count(tree: Tree | RootedTree) -> DominationSummary:
     """Exact (gamma, zeta) of a tree in time linear in the vertex count.
 
@@ -155,5 +160,4 @@ def _root_state(rooted: Tree | RootedTree) -> DpState:
         del stack[-k:]
         push(combine(children))
 
-    ss, sc, ds, dc, ys, yc = stack[-1]
-    return DpState((ss, sc), (ds, dc), (ys, yc))
+    return _as_state(stack[-1])

@@ -36,13 +36,13 @@ def is_dominating(tree: Tree, subset) -> bool:
     return len(covered) == tree.vertex_count
 
 
-def _searches(tree: Tree, cap: int):
-    """Yield (k, order, masks) for the subset sizes k = 1, 2, ..., n in turn.
+def _minimum_sets(tree: Tree, cap: int) -> tuple[list[Label], list[tuple[int, ...]]]:
+    """The labels in sorted order, and every minimum dominating set as a
+    tuple of indices into them, the tuples in lexicographic order.
 
-    Bit i of each mask stands for the i-th label of `order`, the labels in
-    sorted order. Refuses a tree above `cap` before building the masks, and
-    size k before any of its subsets is tested if sizes 1..k together hold
-    more than SUBSET_BUDGET subsets.
+    Bit i of each mask stands for the i-th sorted label. Refuses a tree above
+    `cap` before building the masks, and size k before any of its subsets is
+    tested if sizes 1..k together hold more than SUBSET_BUDGET subsets.
     """
     n = tree.vertex_count
     if n > cap:
@@ -55,6 +55,7 @@ def _searches(tree: Tree, cap: int):
         for nb in tree.neighbors(v):
             mask |= 1 << position[nb]
         masks.append(mask)
+    full = (1 << n) - 1
     tested = 0
     for k in range(1, n + 1):
         tested += comb(n, k)
@@ -63,7 +64,10 @@ def _searches(tree: Tree, cap: int):
                 f"{n} vertices: searching sizes up to {k} tests more than "
                 f"2**{DEFAULT_CAP} subsets"
             )
-        yield k, order, masks
+        found = list(_covers(masks, k, full))
+        if found:
+            return order, found
+    raise AssertionError("unreachable: the full vertex set dominates")
 
 
 def _covers(masks: list[int], k: int, full: int):
@@ -93,12 +97,8 @@ def _covers(masks: list[int], k: int, full: int):
 def oracle_count(tree: Tree, cap: int = DEFAULT_CAP) -> DominationSummary:
     """Exact (gamma, zeta) by exhaustive search; refuses trees above `cap`
     and searches that would test more than SUBSET_BUDGET subsets."""
-    full = (1 << tree.vertex_count) - 1
-    for k, _, masks in _searches(tree, cap):
-        count = sum(1 for _ in _covers(masks, k, full))
-        if count:
-            return DominationSummary(k, count)
-    raise AssertionError("unreachable: the full vertex set dominates")
+    _, found = _minimum_sets(tree, cap)
+    return DominationSummary(len(found[0]), len(found))
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,9 @@ class WitnessSets:
 
 def enumerate_min_sets(tree: Tree, cap: int = DEFAULT_CAP) -> WitnessSets:
     """List every minimum dominating set explicitly (same limits as counting)."""
-    full = (1 << tree.vertex_count) - 1
-    for k, order, masks in _searches(tree, cap):
-        found = [tuple(order[i] for i in indices) for indices in _covers(masks, k, full)]
-        if found:
-            for witness in found:  # re-verify before handing sets out
-                if not is_dominating(tree, witness):
-                    raise AssertionError(f"oracle produced a non-dominating set {witness!r}")
-            return WitnessSets(k, tuple(found))
-    raise AssertionError("unreachable: the full vertex set dominates")
+    order, found = _minimum_sets(tree, cap)
+    sets = tuple(tuple(order[i] for i in indices) for indices in found)
+    for witness in sets:  # re-verify before handing sets out
+        if not is_dominating(tree, witness):
+            raise AssertionError(f"oracle produced a non-dominating set {witness!r}")
+    return WitnessSets(len(sets[0]), sets)

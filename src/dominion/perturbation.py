@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .closed_form import binary_summary
-from .dp import DpState, combine, root_summary
+from .dp import DpState, _as_state, combine, root_summary
 from .errors import InvalidParameterError, UnknownVertexError
 from .families import bottom_leaf_index, level_labels
 from .rng import SplitMix64
@@ -97,8 +97,7 @@ def _deletion_state(h: int, hits) -> DpState:
             for p in {k >> 1 for k in touched}
         }
         rest = combine((rest, rest))
-    ss, sc, ds, dc, ys, yc = touched.get(1, rest)
-    return DpState((ss, sc), (ds, dc), (ys, yc))
+    return _as_state(touched.get(1, rest))
 
 
 def single_leaf_doubling_check(h: int) -> bool:

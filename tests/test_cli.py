@@ -97,6 +97,13 @@ class TestCompute:
         assert repr(str(path)) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header", ["vertices: a b c\n", ""])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, header):
+        path = tmp_path / "bom.edges"
+        path.write_bytes(("\ufeff" + header + "a b\nb c\n").encode())
+        code, out, err = run(capsys, "oracle", "--enumerate", str(path))
+        assert (code, out, err) == (0, "b\n", "")
+
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         from dominion import closed_form
 
@@ -214,6 +221,14 @@ class TestOracleCommand:
         assert code == 0
         assert out.splitlines() == ["l4 v2 v6", "l6 v2 v4", "v2 v4 v6"]
 
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_enumerate_is_an_output_format(self, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--enumerate", fmt, "comb:n=2"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert "not allowed with argument" in captured.err
+
     def test_cap(self, capsys):
         code, _, err = run(capsys, "oracle", "--cap", "4", "path:n=5")
         assert code == 1
@@ -289,6 +304,14 @@ class TestGenerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "missing" / "x.edges" if kind == "missing-directory" else tmp_path
+        code, out, err = run(capsys, "generate", "comb:n=3", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+
     def test_stdout(self, capsys):
         code, out, _ = run(capsys, "generate", "star:m=2", "-")
         assert code == 0
@@ -330,6 +353,9 @@ class TestPerturb:
         code, out, _ = run(capsys, "perturb", "--h", "2")
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1] == ["2", "", "0", "2", "2", "1", "1", "1", "true"]
+
+    def test_empty_delete_is_the_default(self, capsys):
+        assert run(capsys, "perturb", "--h", "3", "--delete", "") == run(capsys, "perturb", "--h", "3")
 
     def test_sibling_pair_reported_false(self, capsys):
         code, out, _ = run(capsys, "perturb", "--h", "2", "--delete", "b4+b5")
@@ -409,6 +435,13 @@ class TestVerifyTables:
         assert payload["ok"] is True
         assert payload["table1_cells"] == 36
         assert all(cell["ok"] for cell in payload["cells"])
+
+    def test_csv_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-tables", "--csv"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert "unrecognized arguments: --csv" in captured.err
 
     def test_fault_injection_names_failing_cell(self, capsys, monkeypatch):
         from dominion import closed_form

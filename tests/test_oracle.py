@@ -27,7 +27,7 @@ from dominion import (
 )
 from dominion import oracle
 from dominion.families import KINDS
-from dominion.oracle import DEFAULT_CAP, _searches
+from dominion.oracle import DEFAULT_CAP
 
 
 class TestIsDominating:
@@ -86,9 +86,17 @@ class TestOracleCount:
         assert oracle_count(make_star(59), cap=60) == DominationSummary(1, 1)
         assert enumerate_min_sets(make_star(59), cap=60).sets == (("c",),)
 
-    def test_subset_budget_allows_every_size_within_the_default_cap(self):
-        sizes = [k for k, _, _ in _searches(make_path(DEFAULT_CAP), DEFAULT_CAP)]
-        assert sizes == list(range(1, DEFAULT_CAP + 1))
+    def test_subset_budget_allows_every_size_within_the_default_cap(self, monkeypatch):
+        tried = []
+        covers = oracle._covers
+
+        def spy(masks, k, full):  # finds nothing below k = n, so every size is searched
+            tried.append(k)
+            return covers(masks, k, full) if k == len(masks) else iter(())
+
+        monkeypatch.setattr(oracle, "_covers", spy)
+        assert oracle_count(make_path(DEFAULT_CAP)) == DominationSummary(DEFAULT_CAP, 1)
+        assert tried == list(range(1, DEFAULT_CAP + 1))
 
 
 class TestEnumerate:
