@@ -17,7 +17,7 @@ from .closed_form import (
     summary_for,
     uniform_pendant_summary,
 )
-from .dp import DpState, dp_count, root_summary
+from .dp import dp_count, root_summary
 from .errors import (
     DominionError,
     EmptyTreeError,
@@ -57,7 +57,6 @@ from .perturbation import (
 from .rng import SplitMix64
 from .tree import (
     DominationSummary,
-    RootedTree,
     Tree,
     leaves,
     parse_edge_list,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DominationSummary",
     "DominionError",
-    "DpState",
     "EmptyTreeError",
     "FamilySpec",
     "InvalidParameterError",
@@ -81,7 +79,6 @@ __all__ = [
     "NotALevelLeafError",
     "NotATreeError",
     "ParseError",
-    "RootedTree",
     "SplitMix64",
     "TooLargeError",
     "Tree",

@@ -164,10 +164,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_perturb(args) -> int:
     h = args.height
+    if args.seed is not None and args.random_size is None:
+        raise ParseError("--seed is only used with --random-size")
     if args.all_single_leaves:
         leaf_sets = [{leaf} for leaf in families.level_labels(h, h)]
     elif args.random_size is not None:
-        leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed)]
+        leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed or 0)]
     else:  # no selection flag, like --delete "", deletes nothing
         leaf_sets = [args.delete.split("+") if args.delete else ()]
     reports = [perturbation.analyze_deletion(h, x) for x in leaf_sets]
@@ -323,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random-size", type=int, help="draw a random leaf set of this size")
     group.add_argument("--all-single-leaves", action="store_true",
                        help="one report per bottom-level leaf")
-    p_perturb.add_argument("--seed", type=int, default=0, help="seed for --random-size")
+    p_perturb.add_argument("--seed", type=int,
+                           help="seed for --random-size, which it needs (default 0)")
     p_perturb.set_defaults(func=_cmd_perturb)
 
     p_verify = sub.add_parser(

@@ -1,8 +1,10 @@
 """Linear-time three-state dynamic program computing the domination number
 of a tree together with the exact count of its minimum dominating sets.
 
-Each vertex v, processed in postorder, carries three (size, count) pairs
-describing the cheapest ways to handle the subtree below v:
+Each vertex v, processed in postorder, carries a state: the 6-tuple
+``(s_size, s_count, d_size, d_count, y_size, y_count)`` of three
+(size, count) pairs describing the cheapest ways to handle the subtree
+below v:
 
 * ``selected``:  v is in the set; the subtree is fully dominated.
 * ``dominated``: v is not in the set but some selected child dominates it;
@@ -26,34 +28,21 @@ incremental leaf-deletion engine (`perturbation`) both call it. The rule:
   ``selected``. The cheaper option wins; on a size tie the counts add.
 
 Counts are exact unbounded integers. The full fold drives `combine` from a
-stack of child states along the postorder, so input size is not limited by
-the interpreter recursion limit.
+stack of child states along the postorder of the traversal from vertex 0,
+so input size is not limited by the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
-from .tree import DominationSummary, RootedTree, Tree
-
-StatePair = tuple  # (size: int | inf, count: int), count == 0 iff size == inf
+from .tree import DominationSummary, Tree
 
 
-@dataclass(frozen=True)
-class DpState:
-    """The three (size, count) pairs of one vertex."""
-
-    selected: StatePair
-    dominated: StatePair
-    needy: StatePair
-
-
-def root_summary(state: DpState) -> DominationSummary:
-    """Fold a root state into (gamma, zeta). The needy state is excluded:
-    nothing above the root could dominate it."""
-    sel_size, sel_count = state.selected
-    dom_size, dom_count = state.dominated
+def root_summary(state: tuple) -> DominationSummary:
+    """Fold a root state, one of `combine`'s 6-tuples, into (gamma, zeta).
+    The needy pair is excluded: nothing above the root could dominate it."""
+    sel_size, sel_count, dom_size, dom_count = state[:4]
     best = sel_size if sel_size <= dom_size else dom_size
     count = 0
     if sel_size == best:
@@ -127,22 +116,17 @@ def combine(children) -> tuple:
 _LEAF_STATE = combine(())
 
 
-def _as_state(combined: tuple) -> DpState:
-    """The DpState of one of `combine`'s 6-tuples."""
-    return DpState(combined[0:2], combined[2:4], combined[4:6])
-
-
-def dp_count(tree: Tree | RootedTree) -> DominationSummary:
+def dp_count(tree: Tree) -> DominationSummary:
     """Exact (gamma, zeta) of a tree in time linear in the vertex count.
 
-    Accepts a RootedTree, or a Tree, which is folded along the depth-first
-    traversal from its first label that validation recorded; the result is
-    independent of the root.
+    The fold starts at vertex 0, along the depth-first traversal that
+    validation recorded; :func:`~dominion.tree.root_at` moves another vertex
+    there. The result is independent of the root.
     """
     return root_summary(_root_state(tree))
 
 
-def _root_state(rooted: Tree | RootedTree) -> DpState:
+def _root_state(tree: Tree) -> tuple:
     # Postorder lists each parent's children, in order, directly before any
     # later sibling subtree, so a parent's child states are exactly the top
     # k entries of a running stack. The fold hands `combine` that slice in
@@ -152,7 +136,7 @@ def _root_state(rooted: Tree | RootedTree) -> DpState:
     # comb:n=100000 folded in 2.2-2.3 s instead of ~1.0 s (2-vCPU VM).
     stack: list = []
     push = stack.append
-    for k in rooted._postorder_child_counts:
+    for k in tree._postorder_child_counts:
         if not k:
             push(_LEAF_STATE)
             continue
@@ -160,4 +144,4 @@ def _root_state(rooted: Tree | RootedTree) -> DpState:
         del stack[-k:]
         push(combine(children))
 
-    return _as_state(stack[-1])
+    return stack[-1]

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .closed_form import binary_summary
-from .dp import DpState, _as_state, combine, root_summary
+from .dp import combine, root_summary
 from .errors import InvalidParameterError, UnknownVertexError
 from .families import bottom_leaf_index, level_labels
 from .rng import SplitMix64
@@ -84,7 +84,7 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     )
 
 
-def _deletion_state(h: int, hits) -> DpState:
+def _deletion_state(h: int, hits) -> tuple:
     """Root state of the height-h complete binary tree after deleting, below
     each level-(h-1) parent index p, hits[p] (1 or 2) of its leaves."""
     leaf = combine(())
@@ -97,7 +97,7 @@ def _deletion_state(h: int, hits) -> DpState:
             for p in {k >> 1 for k in touched}
         }
         rest = combine((rest, rest))
-    return _as_state(touched.get(1, rest))
+    return touched.get(1, rest)
 
 
 def single_leaf_doubling_check(h: int) -> bool:

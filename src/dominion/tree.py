@@ -1,17 +1,18 @@
-"""Canonical tree data model: validated undirected trees, rooted views, and
-edge-list text I/O.
+"""Canonical tree data model: validated undirected trees and edge-list text
+I/O.
 
 Trees work on integer vertex ids, the positions in `labels`, and touch labels
-only at input and output. Labels are opaque identifiers (strings from the
-parser and the generators; integers are accepted programmatically). All
-labels of one tree must be mutually orderable, since child ordering and
-serialization sort by label.
+only at input and output. Vertex 0 is the root: validation's depth-first
+traversal starts there, and `root_at` moves another vertex to id 0. Labels
+are opaque identifiers (strings from the parser and the generators; integers
+are accepted programmatically). All labels of one tree must be mutually
+orderable, since serialization sorts by label.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -173,50 +174,18 @@ def _csr_and_postorder(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[ar
     return offsets, nbrs, counts
 
 
-@dataclass(eq=False, repr=False, slots=True)
-class RootedTree:
-    """A tree plus a designated root, with parent/children maps and a
-    postorder that lists every child before its parent.
-
-    Children are ordered by sorted label, which makes every downstream count
-    and enumeration deterministic. Build instances with :func:`root_at`.
-    """
-
-    base: Tree
-    root: Label
-    parent: dict[Label, Label]
-    children: dict[Label, tuple[Label, ...]]
-    postorder: tuple[Label, ...]
-    # Child count per postorder position, the sequence the dynamic program folds.
-    _postorder_child_counts: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        kids = self.children.__getitem__
-        self._postorder_child_counts = list(map(len, map(kids, self.postorder)))
-
-    def __repr__(self) -> str:
-        return f"RootedTree({self.base.vertex_count} vertices, root={self.root!r})"
-
-
-def root_at(tree: Tree, root: Label) -> RootedTree:
-    """Root `tree` at `root`, ordering each vertex's children by sorted label."""
-    name = tree.labels.__getitem__
-    up = [-1] * tree.vertex_count  # parent ids
-    children: dict[Label, tuple[Label, ...]] = {}
-    stack = [tree._id(root)]
-    while stack:
-        v = stack.pop()
-        p = up[v]
-        kids = [w for w in tree._neighbor_ids(v) if w != p]
-        if len(kids) > 1:
-            kids.sort(key=name)
-        for w in kids:
-            up[w] = v
-        children[name(v)] = tuple(map(name, kids))
-        stack += kids
-    parent = {c: v for v, kids in children.items() for c in kids}
-    # `children` holds a right-to-left preorder; reversed, the left-to-right postorder.
-    return RootedTree(tree, root, parent, children, tuple(reversed(children)))
+def root_at(tree: Tree, root: Label) -> Tree:
+    """`tree` with `root` as vertex 0, where the traversal that validation
+    records, and so the dynamic program's fold, starts: the ids of `root`
+    and of the first label trade places, and nothing else moves."""
+    r = tree._id(root)
+    if not r:
+        return tree  # trees are immutable
+    swap = list(range(tree.vertex_count))  # self-inverse: old id <-> new id
+    swap[0], swap[r] = r, 0
+    move = swap.__getitem__
+    edges = _IdEdges(list(map(move, tree._us)), list(map(move, tree._vs)))
+    return Tree(map(tree.labels.__getitem__, swap), edges)
 
 
 def leaves(tree: Tree) -> set[Label]:

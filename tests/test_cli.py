@@ -133,8 +133,8 @@ class TestCompute:
 
 
     def test_compute_never_roots(self, capsys, monkeypatch, tmp_path):
-        # The DP folds the traversal that Tree validation already made, so
-        # neither `compute` nor `dp_count(Tree)` builds a RootedTree.
+        # The DP folds the traversal from vertex 0 that Tree validation
+        # already made, so neither `compute` nor `dp_count` calls `root_at`.
         import sys
 
         from dominion import dp, families, tree
@@ -348,6 +348,15 @@ class TestPerturb:
         _, out1, _ = run(capsys, "perturb", "--h", "4", "--random-size", "3", "--seed", "11")
         _, out2, _ = run(capsys, "perturb", "--h", "4", "--random-size", "3", "--seed", "11")
         assert out1 == out2
+
+    def test_random_size_defaults_to_seed_0(self, capsys):
+        args = ("perturb", "--h", "4", "--random-size", "5")
+        assert run(capsys, *args) == run(capsys, *args, "--seed", "0")
+
+    @pytest.mark.parametrize("mode", [(), ("--delete", "b8"), ("--all-single-leaves",)])
+    def test_seed_without_random_size_is_a_usage_error(self, capsys, mode):
+        err = "error: --seed is only used with --random-size\n"
+        assert run(capsys, "perturb", "--h", "3", *mode, "--seed", "4") == (1, "", err)
 
     def test_empty_deletion_default(self, capsys):
         code, out, _ = run(capsys, "perturb", "--h", "2")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dominion import (
     DominationSummary,
-    DpState,
     build_tree,
     dp_count,
     make_alternating,
@@ -58,25 +57,25 @@ class TestKnownValues:
 
 class TestRootSummary:
     def test_single_vertex_state(self):
-        state = DpState(selected=(1, 1), dominated=(inf, 0), needy=(0, 1))
+        state = (1, 1, inf, 0, 0, 1)
         assert root_summary(state) == DominationSummary(1, 1)
 
     def test_leaf_state_values(self):
         from dominion.dp import _root_state
 
         state = _root_state(root_at(parse_edge_list("vertices: a\n"), "a"))
-        assert state == DpState(selected=(1, 1), dominated=(inf, 0), needy=(0, 1))
+        assert state == (1, 1, inf, 0, 0, 1)
 
     def test_p2_state_ties(self):
-        state = DpState(selected=(1, 1), dominated=(1, 1), needy=(inf, 0))
+        state = (1, 1, 1, 1, inf, 0)
         assert root_summary(state) == DominationSummary(1, 2)
 
     def test_k12_center_state(self):
-        state = DpState(selected=(1, 1), dominated=(2, 1), needy=(inf, 0))
+        state = (1, 1, 2, 1, inf, 0)
         assert root_summary(state) == DominationSummary(1, 1)
 
     def test_needy_is_excluded(self):
-        state = DpState(selected=(3, 4), dominated=(3, 2), needy=(1, 9))
+        state = (3, 4, 3, 2, 1, 9)
         assert root_summary(state) == DominationSummary(3, 6)
 
 
@@ -162,7 +161,7 @@ def _brute_force_states(tree, root):
         closed[index[v]] |= 1 << index[u]
     full = (1 << n) - 1
     r = 1 << index[root]
-    children = sum(1 << index[c] for c in root_at(tree, root).children[root])
+    children = sum(1 << index[c] for c in tree.neighbors(root))
     best = {"selected": (inf, 0), "dominated": (inf, 0), "needy": (inf, 0)}
     covered = [0] * (1 << n)  # covered[D] = union of closed neighbourhoods
     for subset in range(1, 1 << n):
@@ -182,7 +181,7 @@ def _brute_force_states(tree, root):
                 best[state] = (k, 1)
             elif k == size:
                 best[state] = (k, count + 1)
-    return DpState(**best)
+    return (*best["selected"], *best["dominated"], *best["needy"])
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32))
@@ -202,8 +201,7 @@ def _fold_with_combine(tree):
     stack = []
     for k in tree._postorder_child_counts:
         stack.append(combine([stack.pop() for _ in range(k)]))
-    ss, sc, ds, dc, ys, yc = stack[-1]
-    return DpState((ss, sc), (ds, dc), (ys, yc))
+    return stack[-1]
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
@@ -284,21 +282,6 @@ def test_combine_of_no_children_is_the_leaf_state():
     from dominion.dp import combine
 
     assert combine(()) == (1, 1, inf, 0, 0, 1)
-
-
-def test_hand_built_rooted_tree_without_metadata():
-    # RootedTree assembled directly (no precomputed child counts)
-    from dominion import RootedTree
-
-    base = parse_edge_list("a b\nb c\n")
-    rooted = RootedTree(
-        base,
-        "b",
-        {"a": "b", "c": "b"},
-        {"b": ("a", "c"), "a": (), "c": ()},
-        ("a", "c", "b"),
-    )
-    assert dp_count(rooted) == DominationSummary(1, 1)
 
 
 class TestScaling:

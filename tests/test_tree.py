@@ -171,19 +171,12 @@ def test_constructor_rejects_empty():
         Tree([], [])
 
 
-def test_root_at_p3_children_sorted():
+def test_root_at_p3_moves_the_root_to_vertex_0():
     tree = parse_edge_list("a b\nb c\n")
     rooted = root_at(tree, "b")
-    assert rooted.children["b"] == ("a", "c")
-    assert rooted.postorder == ("a", "c", "b")
-    assert rooted.root == "b"
-    assert "b" not in rooted.parent
-
-
-def test_root_at_p2():
-    tree = parse_edge_list("a b\n")
-    rooted = root_at(tree, "a")
-    assert rooted.parent["b"] == "a"
+    assert rooted.labels == ("b", "a", "c")
+    assert rooted._postorder_child_counts == [0, 0, 2]
+    assert root_at(tree, "a") is tree
 
 
 def test_root_at_unknown_vertex():
@@ -258,22 +251,15 @@ def test_random_graph_with_n_edges_rejected(n, seed):
 def test_postorder_children_precede_parents(n, seed):
     tree = random_tree(n, seed)
     root = sorted(tree.labels)[seed % n]
-    rooted = root_at(tree, root)
-    assert len(rooted.postorder) == n
-    assert set(rooted.postorder) == set(tree.labels)
-    position = {v: i for i, v in enumerate(rooted.postorder)}
-    for child, parent in rooted.parent.items():
-        assert position[child] < position[parent]
-
-
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=60, deadline=None)
-def test_rooted_structure_matches_base_edges(n, seed):
-    tree = random_tree(n, seed)
-    rooted = root_at(tree, tree.labels[0])
-    rooted_edges = {frozenset((c, p)) for c, p in rooted.parent.items()}
-    assert rooted_edges == {frozenset(e) for e in tree.edges}
-    child_edges = {
-        frozenset((v, c)) for v, kids in rooted.children.items() for c in kids
-    }
-    assert child_edges == rooted_edges or n == 1
+    rooted = root_at(tree, root)  # the same tree, with `root` at vertex 0
+    assert rooted.labels[0] == root
+    assert set(rooted.labels) == set(tree.labels)
+    assert rooted.edges == tree.edges
+    # The child counts replay as a postorder: each vertex takes its children
+    # off a stack, and the root, last, takes every neighbour.
+    depth = 0
+    for k in rooted._postorder_child_counts:
+        assert k <= depth
+        depth += 1 - k
+    assert depth == 1
+    assert rooted._postorder_child_counts[-1] == tree.degree(root)
