@@ -171,12 +171,23 @@ def test_constructor_rejects_empty():
         Tree([], [])
 
 
-def test_root_at_p3_moves_the_root_to_vertex_0():
+def test_root_at_p3_children_sorted():
     tree = parse_edge_list("a b\nb c\n")
     rooted = root_at(tree, "b")
+    # "b" and the first label trade ids; the two leaves come first in the
+    # postorder and the root, last, takes both of them as children.
     assert rooted.labels == ("b", "a", "c")
     assert rooted._postorder_child_counts == [0, 0, 2]
-    assert root_at(tree, "a") is tree
+    assert rooted.neighbors("b") == ("a", "c")
+
+
+def test_root_at_p2():
+    tree = parse_edge_list("a b\n")
+    assert root_at(tree, "a") is tree  # already vertex 0
+    rooted = root_at(tree, "b")
+    assert rooted.labels == ("b", "a")
+    assert rooted._postorder_child_counts == [0, 1]
+    assert rooted.edges == tree.edges
 
 
 def test_root_at_unknown_vertex():
@@ -253,8 +264,6 @@ def test_postorder_children_precede_parents(n, seed):
     root = sorted(tree.labels)[seed % n]
     rooted = root_at(tree, root)  # the same tree, with `root` at vertex 0
     assert rooted.labels[0] == root
-    assert set(rooted.labels) == set(tree.labels)
-    assert rooted.edges == tree.edges
     # The child counts replay as a postorder: each vertex takes its children
     # off a stack, and the root, last, takes every neighbour.
     depth = 0
@@ -263,3 +272,15 @@ def test_postorder_children_precede_parents(n, seed):
         depth += 1 - k
     assert depth == 1
     assert rooted._postorder_child_counts[-1] == tree.degree(root)
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_rooted_structure_matches_base_edges(n, seed):
+    tree = random_tree(n, seed)
+    root = tree.labels[seed % n]
+    rooted = root_at(tree, root)
+    assert len(rooted.labels) == n
+    assert set(rooted.labels) == set(tree.labels)
+    assert rooted.edges == tree.edges
+    assert all(rooted.neighbors(v) == tree.neighbors(v) for v in tree.labels)
