@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
 from . import closed_form, dp, families, oracle, perturbation
-from .errors import DominionError, MismatchError, NoClosedFormError, ParseError
+from .errors import DominionError, MismatchError, NoClosedFormError, ParseError, TooLargeError
 from .tree import DominationSummary, Tree, parse_edge_list, to_edge_list
 
 EXIT_OK = 0
@@ -77,11 +77,11 @@ def _looks_like_spec(text: str) -> bool:
     return ":" in text and kind in families.KINDS
 
 
-def _load_input(text: str) -> tuple[str, Tree, families.FamilySpec | None]:
+def _load_input(text: str) -> tuple[str, Tree]:
     """Resolve a CLI input as either a family-spec string or an edge-list file."""
     if _looks_like_spec(text):
         spec = families.parse_family_spec(text)
-        return spec.spec_string(), families.build_tree(spec), spec
+        return spec.spec_string(), families.build_tree(spec)
     if os.path.exists(text):
         try:
             with open(text, encoding="utf-8-sig") as handle:
@@ -90,7 +90,7 @@ def _load_input(text: str) -> tuple[str, Tree, families.FamilySpec | None]:
             raise ParseError(f"cannot read {text!r}: {exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{text!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-        return text, parse_edge_list(contents), None
+        return text, parse_edge_list(contents)
     raise ParseError(f"{text!r} is neither a family spec nor an existing file")
 
 
@@ -98,9 +98,16 @@ def compute_row(text: str) -> ReportRow:
     """DP result for the input; family specs with a closed form are
     cross-checked against it and raise MismatchError on disagreement. A
     closed form for gamma only is checked on gamma, and the row reports
-    that the count came from the DP."""
-    source, tree, spec = _load_input(text)
-    dp_result = dp.dp_count(tree)
+    that the count came from the DP. A spec whose kind has a `fold` takes
+    its DP state from the spec; other inputs build a tree and fold it."""
+    spec = families.parse_family_spec(text) if _looks_like_spec(text) else None
+    fold = spec and families.FAMILIES[spec.kind].fold
+    if fold:
+        n_vertices, state = fold(spec)
+        source, dp_result = spec.spec_string(), dp.root_summary(state)
+    else:
+        source, tree = _load_input(text)
+        n_vertices, dp_result = tree.vertex_count, dp.dp_count(tree)
     formula, method = dp_result, "dp"
     if spec is not None:
         gamma_formula = closed_form.GAMMA_FORMULAS.get(spec.kind)
@@ -113,21 +120,26 @@ def compute_row(text: str) -> ReportRow:
                 pass
     if formula != dp_result:
         raise MismatchError(
-            f"{source}: closed form gives (gamma={formula.gamma}, zeta={_digits(formula.zeta)}) "
+            f"{source}: closed form gives (gamma={_digits(formula.gamma)}, zeta={_digits(formula.zeta)}) "
             f"but the dynamic program gives "
-            f"(gamma={dp_result.gamma}, zeta={_digits(dp_result.zeta)})"
+            f"(gamma={_digits(dp_result.gamma)}, zeta={_digits(dp_result.zeta)})"
         )
-    return ReportRow(source, tree.vertex_count, dp_result.gamma, _digits(dp_result.zeta), method)
+    return ReportRow(source, n_vertices, dp_result.gamma, _digits(dp_result.zeta), method)
 
 
 def _emit_row(row: ReportRow, fmt: str) -> None:
+    # str(), and so json.dumps, refuses ints past the 4300-digit limit, which
+    # a binary spec's vertex count and gamma pass from h = 14284 on.
     fields = asdict(row)
-    if fmt == "json":
-        print(json.dumps(fields))
+    text = {name: _digits(value) if isinstance(value, int) else value for name, value in fields.items()}
+    if fmt == "json":  # json.dumps's layout, with the ints unquoted
+        items = (f"{json.dumps(name)}: {text[name] if isinstance(value, int) else json.dumps(value)}"
+                 for name, value in fields.items())
+        print("{" + ", ".join(items) + "}")
     elif fmt == "csv":
-        csv.writer(sys.stdout).writerows([fields.keys(), fields.values()])
+        csv.writer(sys.stdout).writerows([text.keys(), text.values()])
     else:  # human labels drop the n_ prefix: "vertices"
-        for name, value in fields.items():
+        for name, value in text.items():
             print(f"{name.removeprefix('n_'):<10} {value}")
 
 
@@ -137,7 +149,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    source, tree, _ = _load_input(args.input)
+    source, tree = _load_input(args.input)
     if args.format == "enumerate":
         for members in oracle.enumerate_min_sets(tree, cap=args.cap).sets:
             print(" ".join(str(v) for v in members))
@@ -167,6 +179,11 @@ def _cmd_perturb(args) -> int:
     if args.seed is not None and args.random_size is None:
         raise ParseError("--seed is only used with --random-size")
     if args.all_single_leaves:
+        if h >= perturbation._MAX_LEAVES.bit_length():  # 2^h leaves, compared without building 2^h
+            raise TooLargeError(
+                f"--all-single-leaves at height {h} lists 2^{h} leaves, "
+                f"more than the limit of {perturbation._MAX_LEAVES}"
+            )
         leaf_sets = [{leaf} for leaf in families.level_labels(h, h)]
     elif args.random_size is not None:
         leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed or 0)]

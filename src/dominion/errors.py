@@ -40,8 +40,9 @@ class NoClosedFormError(DominionError):
 
 
 class TooLargeError(DominionError):
-    """The tree exceeds the exhaustive-search size cap, or its search would
-    test more subsets than the oracle's budget."""
+    """The tree exceeds the exhaustive-search size cap, its search would
+    test more subsets than the oracle's budget, or a leaf selection would
+    list or draw more leaves than `perturb` admits."""
 
 
 class NotALevelLeafError(DominionError):

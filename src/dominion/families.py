@@ -14,48 +14,84 @@ Label schemes (fixed so that witness sets are readable by eye):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .dp import _deletion_state, _spine_state
 from .errors import (
     InvalidParameterError,
     NotALeafError,
     NotALevelLeafError,
     ParseError,
+    UnknownVertexError,
     WouldBeEmptyError,
 )
 from .rng import SplitMix64
 from .tree import Tree, _IdEdges
 
 
-def _path_with_pendants(n: int, hosts, pendants: list[str]) -> Tree:
-    """Path v1..vn plus one pendant leaf per host (path vertex v(i+1) for id
-    i), labelled in the same order by `pendants`."""
-    labels = [f"v{i}" for i in range(1, n + 1)] + pendants
-    return Tree(labels, _IdEdges([*range(n - 1), *hosts], range(1, len(labels))))
+class _Pendants(NamedTuple):
+    """The pendant leaves of a path kind: `per_host` leaves on each path
+    vertex whose id is in `hosts` (v(i+1) has id i), labelled ``l<i>_<j>``
+    when `numbered`, else ``l<i>``. `_path_with_pendants` and `_spine_fold` both read it."""
+
+    hosts: range
+    per_host: int = 1
+    numbered: bool = False
+
+
+def _uniform(n: int, r: int) -> _Pendants:
+    return _Pendants(range(n), r, numbered=True)
+
+
+def _interior(n: int) -> _Pendants:
+    return _Pendants(range(1, n - 1))
+
+
+def _alternating(n: int, parity: str) -> _Pendants:
+    return _Pendants(range(1 if parity == "even" else 0, n, 2))
+
+
+def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:
+    """Path v1..vn plus the pendant leaves that `pendants` describes."""
+    hosts, r = pendants.hosts, pendants.per_host
+    if pendants.numbered:
+        names = [f"l{i + 1}_{j}" for i in hosts for j in range(1, r + 1)]
+    else:
+        names = [f"l{i + 1}" for i in hosts]
+    labels = [f"v{i}" for i in range(1, n + 1)] + names
+    us = [*range(n - 1), *(i for i in hosts for _ in range(r))]
+    return Tree(labels, _IdEdges(us, range(1, len(labels))))
+
+
+def _spine_fold(n: int, pendants: _Pendants) -> tuple[int, tuple]:
+    """(vertex count, root state) of `_path_with_pendants(n, pendants)`,
+    without building it."""
+    hosts, r = pendants.hosts, pendants.per_host
+    return n + len(hosts) * r, _spine_state(n, hosts, r)
 
 
 def make_path(n: int) -> Tree:
     """Path v1 - v2 - ... - vn."""
     if n < 1:
         raise InvalidParameterError("path needs n >= 1")
-    return _path_with_pendants(n, (), [])
+    return _path_with_pendants(n, _Pendants(range(0)))
 
 
 def make_uniform_pendant(n: int, r: int) -> Tree:
     """Path v1..vn with r pendant leaves l<i>_1 .. l<i>_r on every vi."""
     if n < 1 or r < 1:
         raise InvalidParameterError("uniform pendant tree needs n >= 1 and r >= 1")
-    pendants = [f"l{i}_{j}" for i in range(1, n + 1) for j in range(1, r + 1)]
-    return _path_with_pendants(n, [i for i in range(n) for _ in range(r)], pendants)
+    return _path_with_pendants(n, _uniform(n, r))
 
 
 def make_interior_pendant(n: int) -> Tree:
     """Path v1..vn with one pendant l<i> on each interior vertex v2..v(n-1)."""
     if n < 2:
         raise InvalidParameterError("interior pendant tree needs n >= 2")
-    return _path_with_pendants(n, range(1, n - 1), [f"l{i}" for i in range(2, n)])
+    return _path_with_pendants(n, _interior(n))
 
 
 def make_alternating(n: int, parity: str) -> Tree:
@@ -65,8 +101,7 @@ def make_alternating(n: int, parity: str) -> Tree:
         raise InvalidParameterError("alternating comb needs n >= 2")
     if parity not in ("even", "odd"):
         raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    hosts = range(1 if parity == "even" else 0, n, 2)
-    return _path_with_pendants(n, hosts, [f"l{i + 1}" for i in hosts])
+    return _path_with_pendants(n, _alternating(n, parity))
 
 
 def make_star(m: int) -> Tree:
@@ -106,6 +141,26 @@ def bottom_leaf_index(h: int, label: str) -> int:
     raise NotALevelLeafError(f"{label!r} is not a level-{h} leaf of the height-{h} tree")
 
 
+def _hits(h: int, deleted) -> Counter:
+    """Level-(h-1) parent index -> how many of its children are in `deleted`."""
+    return Counter(bottom_leaf_index(h, label) >> 1 for label in deleted)
+
+
+def _check_leaf_names(deleted) -> None:
+    """Reject level-leaf labels that name no vertex: int() also reads b08 and
+    non-ASCII digits, but only the plain spelling is a heap label."""
+    for label in deleted:
+        if label[1] == "0" or not label.isascii():
+            raise UnknownVertexError(f"no vertex {label!r}")
+
+
+def _binary_fold(spec: FamilySpec) -> tuple[int, tuple]:
+    """(vertex count, root state) of a binary spec, from the level fold."""
+    _check_leaf_names(spec.deleted_leaves)
+    size = (2 << spec.h) - 1 - len(spec.deleted_leaves)
+    return size, _deletion_state(spec.h, _hits(spec.h, spec.deleted_leaves))
+
+
 def delete_leaves(tree: Tree, victims) -> Tree:
     """Induced subtree on the remaining vertices after deleting the given
     leaves of `tree`. The victims must all be leaves of the original tree
@@ -136,7 +191,7 @@ def random_tree(n: int, seed: int) -> Tree:
     if n == 1:
         return Tree(labels, _IdEdges((), ()))
     rng = SplitMix64(seed)
-    seq = [rng.below(n) for _ in range(n - 2)]
+    seq = rng._below_each(n, n - 2)
     degree = [1] * n
     for a in seq:
         degree[a] += 1
@@ -153,27 +208,38 @@ def random_tree(n: int, seed: int) -> Tree:
     return Tree(labels, _IdEdges(us + [leaf], seq + [n - 1]))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One family kind: its spec parameters as written, in canonical order;
-    the least `n` it accepts; and its generator."""
+    its generator; `fold(spec) -> (vertex count, root state)`, which gives
+    the DP's root state without building the tree (None: build and fold it);
+    and the least `n` it accepts."""
 
     params: tuple[str, ...]
     build: Callable[[FamilySpec], Tree]
+    fold: Callable[[FamilySpec], tuple[int, tuple]] | None = None
     min_n: int = 1
+
+
+def _path_kind(params: tuple[str, ...], pendants, min_n: int = 1) -> Family:
+    """A path kind whose pendant leaves `pendants(spec)` describes, once for
+    both the build and the fold."""
+    return Family(params, lambda s: _path_with_pendants(s.n, pendants(s)),
+                  lambda s: _spine_fold(s.n, pendants(s)), min_n)
 
 
 # The one table of family kinds. Adding a kind means one entry here and,
 # if it has a closed form, one entry in `closed_form.FORMULAS`.
 FAMILIES = {
-    "uniform": Family(("n", "r"), lambda s: make_uniform_pendant(s.n, s.r)),
-    "comb": Family(("n",), lambda s: make_uniform_pendant(s.n, 1)),
-    "interior": Family(("n",), lambda s: make_interior_pendant(s.n), min_n=2),
-    "alt-even": Family(("n",), lambda s: make_alternating(s.n, "even"), min_n=2),
-    "alt-odd": Family(("n",), lambda s: make_alternating(s.n, "odd"), min_n=2),
-    "star": Family(("m",), lambda s: make_star(s.n)),
-    "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves)),
-    "path": Family(("n",), lambda s: make_path(s.n)),
+    "uniform": _path_kind(("n", "r"), lambda s: _uniform(s.n, s.r)),
+    "comb": _path_kind(("n",), lambda s: _uniform(s.n, 1)),
+    "interior": _path_kind(("n",), lambda s: _interior(s.n), min_n=2),
+    "alt-even": _path_kind(("n",), lambda s: _alternating(s.n, "even"), min_n=2),
+    "alt-odd": _path_kind(("n",), lambda s: _alternating(s.n, "odd"), min_n=2),
+    # a star is a one-vertex spine with m pendants
+    "star": Family(("m",), lambda s: make_star(s.n), lambda s: _spine_fold(1, _Pendants(range(1), s.n))),
+    "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves),
+                     _binary_fold),
+    "path": _path_kind(("n",), lambda s: _Pendants(range(0))),
     "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed)),
 }
 KINDS = tuple(FAMILIES)

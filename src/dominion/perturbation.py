@@ -15,14 +15,18 @@ combines instead of a fold over all 2^(h+1) - 1 vertices.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .closed_form import binary_summary
-from .dp import combine, root_summary
-from .errors import InvalidParameterError, UnknownVertexError
-from .families import bottom_leaf_index, level_labels
+from .dp import _deletion_state, root_summary
+from .errors import InvalidParameterError, TooLargeError
+from .families import _check_leaf_names, _hits, level_labels
 from .rng import SplitMix64
+
+# The most leaves one `perturb` run lists (--all-single-leaves) or draws
+# (--random-size): the 2^16 single-leaf reports at h = 16 take ~3 s and
+# ~70 MB, and every further height doubles both.
+_MAX_LEAVES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,11 +46,6 @@ class LeafDeletionReport:
     bound_holds: bool
 
 
-def _hits(h: int, deleted) -> Counter:
-    """Level-(h-1) parent index -> how many of its children are in `deleted`."""
-    return Counter(bottom_leaf_index(h, label) >> 1 for label in deleted)
-
-
 def m1_of(h: int, deleted) -> int:
     """Number of level-(h-1) parents with exactly one child in `deleted`."""
     if h < 1:
@@ -63,10 +62,7 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     hits = _hits(h, deleted)
     if len(deleted) >= 1 << h:
         raise InvalidParameterError("cannot delete the entire bottom level")
-    for label in deleted:
-        # int() also reads b08 and non-ASCII digits; only the plain spelling names a vertex
-        if label[1] == "0" or not label.isascii():
-            raise UnknownVertexError(f"no vertex {label!r}")
+    _check_leaf_names(deleted)
     m1 = list(hits.values()).count(1)
     before = binary_summary(h)
     after = root_summary(_deletion_state(h, hits))
@@ -84,22 +80,6 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     )
 
 
-def _deletion_state(h: int, hits) -> tuple:
-    """Root state of the height-h complete binary tree after deleting, below
-    each level-(h-1) parent index p, hits[p] (1 or 2) of its leaves."""
-    leaf = combine(())
-    by_loss = {1: combine((leaf,)), 2: leaf}  # a bottom parent losing 1 or 2 children
-    touched = {p: by_loss[c] for p, c in hits.items()}
-    rest = combine((leaf, leaf))  # the state of every untouched vertex on touched's level
-    for _ in range(h - 1):
-        touched = {
-            p: combine((touched.get(2 * p, rest), touched.get(2 * p + 1, rest)))
-            for p in {k >> 1 for k in touched}
-        }
-        rest = combine((rest, rest))
-    return touched.get(1, rest)
-
-
 def single_leaf_doubling_check(h: int) -> bool:
     """True iff deleting any single bottom-level leaf preserves gamma and
     exactly doubles zeta."""
@@ -114,13 +94,16 @@ def single_leaf_doubling_check(h: int) -> bool:
 
 
 def random_leaf_subset(h: int, size: int, seed: int) -> frozenset[str]:
-    """Seeded uniformly random proper subset of the bottom level, drawn with
-    the same generator as `random_tree` for reproducible manifests."""
+    """Seeded uniformly random proper subset of the bottom level, of at most
+    `_MAX_LEAVES` leaves, drawn with the same generator as `random_tree` for
+    reproducible manifests."""
     if h < 1:
         raise InvalidParameterError("height must be >= 1")
     if not 0 <= size < 1 << h:
         raise InvalidParameterError(
             f"subset size must be in [0, {(1 << h) - 1}] for height {h}"
         )
+    if size > _MAX_LEAVES:
+        raise TooLargeError(f"a random leaf set of {size} leaves is more than the limit of {_MAX_LEAVES}")
     rng = SplitMix64(seed)
     return frozenset(f"b{k}" for k in rng.sample(range(1 << h, 2 << h), size))

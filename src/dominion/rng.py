@@ -35,24 +35,33 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        # One word is a draw below 2^64: every value passes the rejection test.
+        return self._below_each(1 << 64, 1)[0]
 
     def below(self, n: int) -> int:
         """Exactly uniform integer in [0, n)."""
+        return self._below_each(n, 1)[0]
+
+    def _below_each(self, n: int, count: int) -> list[int]:
+        """`count` successive `below(n)` draws: the one draw loop, with the
+        word count and the rejection limit computed once."""
         if n <= 0:
             raise ValueError("bound must be positive")
-        words = max(1, ((n - 1).bit_length() + 63) // 64)
-        limit = ((1 << 64 * words) // n) * n
-        while True:
+        words = range(max(1, ((n - 1).bit_length() + 63) // 64))
+        limit = ((1 << 64 * len(words)) // n) * n
+        state = self._state
+        draws: list[int] = []
+        while len(draws) < count:
             x = 0
-            for _ in range(words):
-                x = x << 64 | self.next_u64()
+            for _ in words:  # next_u64 words, the first one most significant
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                x = x << 64 | z ^ (z >> 31)
             if x < limit:
-                return x % n
+                draws.append(x % n)
+        self._state = state
+        return draws
 
     def sample(self, items, k: int) -> list:
         """First k entries of a seeded Fisher-Yates shuffle of `items`, a

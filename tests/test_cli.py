@@ -115,22 +115,27 @@ class TestCompute:
         assert "mismatch" in err
 
     def test_path_runs_the_dp_once(self, capsys, monkeypatch):
-        from dominion import closed_form, dp
+        # A path spec folds its spine once; neither compute nor the gamma
+        # cross-check folds a built tree.
+        from dominion import closed_form, dp, families
 
         calls = []
-        real = dp.dp_count
+        real = families._spine_state
 
-        def counting(tree):
-            calls.append(tree)
-            return real(tree)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(dp, "dp_count", counting)
-        monkeypatch.setattr(closed_form, "dp_count", counting)
+        def refuse(tree):
+            raise AssertionError("dp_count was called")
+
+        monkeypatch.setattr(families, "_spine_state", counting)
+        monkeypatch.setattr(dp, "dp_count", refuse)
+        monkeypatch.setattr(closed_form, "dp_count", refuse)
         code, out, _ = run(capsys, "compute", "--json", "path:n=9")
         assert code == 0
         assert json.loads(out)["zeta"] == "1"
         assert len(calls) == 1
-
 
     def test_compute_never_roots(self, capsys, monkeypatch, tmp_path):
         # The DP folds the traversal from vertex 0 that Tree validation
@@ -155,6 +160,118 @@ class TestCompute:
         for text in specs + [str(path)]:
             assert cli.compute_row(text).gamma >= 1
         assert dp.dp_count(families.make_complete_binary(4)) == DominationSummary(9, 1)
+
+
+class TestSpecFolds:
+    """Family specs other than random take their DP state from the spec."""
+
+    @pytest.mark.parametrize("spec,digests", [
+        ("uniform:n=5,r=2", ("236630cff75db7c80252d59a78999c350f17dcbb775f421b31593a13d6680002",
+                             "1cae61ca75c4d7cb006b880531f0982fa08ed2c279836e2ec70f890b8b151105",
+                             "38ccc31f8f8bd653cf69999015adc6f0a86cf6912aa907d4a860d7eb6444c8ca")),
+        ("comb:n=11", ("0f98c2c70c8324fd33c102cebb8d53911cdbf6857c80e239e6a3c1481994f491",
+                       "15bef951e81ae2d8de41063af0248686287535ebbb2b4815725da6e6a956d1dc",
+                       "44fb28563be3f570a2fcf64aa7b7bf63f23c3ce85a63c1210c255b9a9f1ba60e")),
+        ("interior:n=9", ("63892955b7cd92202544c08837b3d77d07e76c444ad7bd5c46cb6a71e327d4ff",
+                          "33d53568bcc9179c44d6e96a52b89f975ebf62370d503928d58ebef6a2345a51",
+                          "d72b475526102dfba78854037e661922edfd32f273e12032080eb21e325058da")),
+        ("alt-even:n=12", ("ff993d280991794a7252a4bb7bd5d69da617c588dc7291fabc6a506b630305ed",
+                           "884d42a51457645c7b7656e201a26f5b83b360ba36b72080ec5ae5e7a2c3053a",
+                           "9541ed6baa89e7b45601fbbe320ae63c8d632de8ec519e6b3d13b1e5f70cc048")),
+        ("alt-odd:n=13", ("6e3aae2d564c962f2beacb6b89dc500dbfd6ac47ce39a8fc42b3484259edc51a",
+                          "fc7b2f8739c692d4dd704776c9c9c59b2a56a246cde85e67983a1d8bc9034b7c",
+                          "38f1129a5808bd8de39b47827783fc95d7a105068087099dfd3561d915cdaaed")),
+        ("star:m=6", ("60106463c3b81e741f26341a21cddca62550dc1e132fc8ae76a582db8201f20f",
+                      "01eb5542c1b50864aaacd4e328b424fa6d2790d4fced97817370f58e17c8ad6f",
+                      "b2aa0658b91e8d47994e6f510738567da5e007ff6bf399b91c1a43927518a766")),
+        ("binary:h=6", ("f9d8a8692fa4d1256626cf8d547c106462d2977e8fb56570ea165fee5d08fc95",
+                        "75792005a16214642944720d3a326a2a870ce9237eb295db96c3759c8f097c7b",
+                        "4f8f390cea7540f3e42822c09df60ebbe1bd41e9d642933dc93ada0b857555a7")),
+        ("binary:h=5,delete=b32+b33+b35", ("ec3d6bd6fc9a357a18fa6656172514fb0aac5e1a5ba20326cf21783d05906fa0",
+                                           "065d819b6d381c3472b08d77d82de334a606d6ce78411fdf09273c22e2be1467",
+                                           "8c360b22517c06279fa8ee21c24871337238a928e0a2196904a11072f46eda9f")),
+        ("path:n=10", ("32839dd9787430d34ca230a300c747bafac165804f7e41a758a79c47cf2a7a25",
+                       "055ee858d8987685d5dfb0b5eac5e96741d4ec52463b63f116d59741444f1e74",
+                       "04014477cd50270a8197d1c29e402f232df7df342e04856279f4a6f4d48a192a")),
+        ("random:n=30,seed=5", ("568d6a79f1ea877597704995e3050f8756554c57ecd27dde34528f9788f3a462",
+                                "32697977ae4b3b4fa74b780d07e47a128dc10a28477182fcdeb7555b54c514d3",
+                                "ac3c7a86b3c81e6c66f57efb54207519981ad77980186eeb206928f8b63d82b3")),
+    ])
+    def test_output_is_pinned(self, capsys, spec, digests):
+        # Digests recorded from the build-and-fold path, in the human, JSON
+        # and CSV formats; the spec folds must reproduce them byte for byte.
+        import hashlib
+
+        for fmt, digest in zip(((), ("--json",), ("--csv",)), digests):
+            code, out, err = run(capsys, "compute", *fmt, spec)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, fmt)
+
+    def test_builds_no_tree(self, capsys, monkeypatch):
+        from dominion import families, tree
+
+        def boom(*_, **__):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(tree.Tree, "__init__", boom)
+        monkeypatch.setattr(families, "build_tree", boom)
+        specs = ["uniform:n=4,r=2", "comb:n=7", "interior:n=6", "alt-even:n=9", "alt-odd:n=8", "star:m=5",
+                 "binary:h=4", "binary:h=4,delete=b16+b17+b20+b31", "path:n=11"]
+        assert {s.partition(":")[0] for s in specs} == set(families.KINDS) - {"random"}
+        for spec in specs:
+            assert cli.compute_row(spec).gamma >= 1
+        with pytest.raises(AssertionError, match="a tree was built"):
+            cli.compute_row("random:n=5,seed=1")
+
+    @pytest.mark.parametrize("h", [40, 1100])
+    def test_binary_far_past_a_buildable_tree(self, capsys, h):
+        import time
+
+        from dominion import binary_summary
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", "--json", f"binary:h={h}")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        row = json.loads(out)
+        expected = binary_summary(h)
+        assert (row["n_vertices"], row["gamma"], row["zeta"]) == (2 ** (h + 1) - 1, expected.gamma, str(expected.zeta))
+        assert row["method"] == "closed_form"
+
+    def test_binary_values_past_the_digit_limit(self, capsys):
+        # The vertex count and gamma of binary:h=14290 have 4302 digits, more
+        # than str() and json.dumps write.
+        from dominion import binary_summary
+
+        h = 14290
+        spec = f"binary:h={h}"
+        size = cli._digits((2 << h) - 1)
+        gamma = cli._digits(binary_summary(h).gamma)
+        assert len(size) > 4300 and len(gamma) > 4300
+        code, out, err = run(capsys, "compute", "--json", spec)
+        assert (code, err) == (0, "")
+        row = json.loads(out, parse_int=str)
+        assert row == {"family": spec, "n_vertices": size, "gamma": gamma, "zeta": "1", "method": "closed_form"}
+        code, out, err = run(capsys, "compute", "--csv", spec)
+        assert (code, err) == (0, "")
+        assert out == f"family,n_vertices,gamma,zeta,method\r\n{spec},{size},{gamma},1,closed_form\r\n"
+        code, out, err = run(capsys, "compute", spec)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == [f"vertices   {size}", f"gamma      {gamma}"]
+
+    @pytest.mark.parametrize(
+        "delete,err",
+        [
+            ("b08", "error: no vertex 'b08'\n"),
+            ("b8+b08", "error: no vertex 'b08'\n"),  # not a second hit below b4
+            ("b9+b\u0668", "error: no vertex 'b\u0668'\n"),
+            ("b08+b4", "error: 'b4' is not a level-3 leaf of the height-3 tree\n"),
+        ],
+    )
+    def test_leaf_label_errors(self, capsys, delete, err):
+        # The spec fold checks labels with the helper analyze_deletion uses,
+        # and gives the errors the built tree gave.
+        assert run(capsys, "compute", f"binary:h=3,delete={delete}") == (1, "", err)
 
 
 class TestDigits:
@@ -414,6 +531,37 @@ class TestPerturb:
         assert time.perf_counter() - start < 1.0
         assert (code, err) == (0, "")
         assert len(list(csv.reader(io.StringIO(out)))[1][1].split("+")) == 5
+
+    @pytest.mark.parametrize("h", ["17", "40"])
+    def test_all_single_leaves_past_the_limit_lists_nothing(self, capsys, monkeypatch, h):
+        from dominion import families
+
+        def refuse(*_):
+            raise AssertionError("the level was listed")
+
+        monkeypatch.setattr(families, "level_labels", refuse)
+        err = f"error: --all-single-leaves at height {h} lists 2^{h} leaves, more than the limit of 65536\n"
+        assert run(capsys, "perturb", "--h", h, "--all-single-leaves") == (1, "", err)
+
+    def test_all_single_leaves_at_the_limit_is_admitted(self, capsys, monkeypatch):
+        from dominion import families
+
+        calls = []
+        monkeypatch.setattr(families, "level_labels", lambda h, level: calls.append((h, level)) or ["b65536"])
+        code, out, err = run(capsys, "perturb", "--h", "16", "--all-single-leaves")
+        assert (code, err, calls) == (0, "", [(16, 16)])
+        assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("h,size", [("30", "100000000"), ("17", "65537")])
+    def test_random_size_past_the_limit_draws_nothing(self, capsys, monkeypatch, h, size):
+        from dominion import SplitMix64
+
+        def refuse(*_):
+            raise AssertionError("leaves were drawn")
+
+        monkeypatch.setattr(SplitMix64, "sample", refuse)
+        err = f"error: a random leaf set of {size} leaves is more than the limit of 65536\n"
+        assert run(capsys, "perturb", "--h", h, "--random-size", size) == (1, "", err)
 
     @pytest.mark.parametrize("h,size,extra", [(63, 5, ("--seed", "1")), (200, 3, ())])
     def test_random_size_past_the_ssize_t_range(self, capsys, h, size, extra):

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 from math import inf
 
 import pytest
@@ -224,6 +224,44 @@ def test_combine_matches_the_inline_fold_every_kind(spec):
     assert {s.partition(":")[0] for s in _SPECS} == set(KINDS)
     tree = build_tree(parse_family_spec(spec))
     assert _fold_with_combine(tree) == _root_state(tree)
+
+
+_FOLD_KINDS = [kind for kind in KINDS if kind != "random"]
+
+
+def test_every_kind_but_random_folds_from_its_spec():
+    assert [kind for kind in KINDS if FAMILIES[kind].fold is not None] == _FOLD_KINDS
+
+
+def _assert_fold_matches_the_built_tree(text):
+    from dominion.dp import _root_state
+
+    spec = parse_family_spec(text)
+    tree = build_tree(spec)
+    assert FAMILIES[spec.kind].fold(spec) == (tree.vertex_count, _root_state(tree)), text
+
+
+@pytest.mark.parametrize("kind", _FOLD_KINDS)
+def test_the_spec_fold_matches_the_built_tree_fold_small(kind):
+    # Every small parameter: 6-tuples and vertex counts equal exactly.
+    ranges = {"n": range(FAMILIES[kind].min_n, 16), "r": range(1, 4), "m": range(1, 11), "h": range(1, 8)}
+    params = FAMILIES[kind].params
+    for values in product(*(ranges[p] for p in params)):
+        _assert_fold_matches_the_built_tree(f"{kind}:" + ",".join(f"{p}={v}" for p, v in zip(params, values)))
+
+
+@pytest.mark.parametrize("kind", _FOLD_KINDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_the_spec_fold_matches_the_built_tree_fold(kind, data):
+    ranges = {"n": (FAMILIES[kind].min_n, 300), "r": (1, 5), "m": (1, 300), "h": (1, 8)}
+    text = f"{kind}:" + ",".join(f"{p}={data.draw(st.integers(*ranges[p]))}" for p in FAMILIES[kind].params)
+    if kind == "binary":  # any set of bottom-level leaves, the whole level included
+        h = parse_family_spec(text).h
+        deleted = data.draw(st.sets(st.integers(1 << h, (2 << h) - 1)))
+        if deleted:
+            text += ",delete=" + "+".join(f"b{k}" for k in deleted)
+    _assert_fold_matches_the_built_tree(text)
 
 
 def _vertex_states(tree):

@@ -251,6 +251,33 @@ class TestSplitMix64:
         assert SplitMix64(9).below((1 << 64) + 1) == (a << 64 | b) % ((1 << 64) + 1)
         assert SplitMix64(9).below(1 << 130) == (a << 128 | b << 64 | c) % (1 << 130)
 
+    @pytest.mark.parametrize("n", [1, 7, 250_000, (1 << 63) + 1, 1 << 64, (1 << 64) + 1, 3 << 70])
+    def test_batched_draws_follow_the_documented_procedure(self, n):
+        # A transcription of the procedure in SplitMix64's docstring; n = 2^63 + 1
+        # rejects about half of its one-word values.
+        def reference(seed, count):
+            mask, state, draws = (1 << 64) - 1, seed, []
+
+            def word():
+                nonlocal state
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                return z ^ (z >> 31)
+
+            w = max(1, ((n - 1).bit_length() + 63) // 64)
+            while len(draws) < count:
+                x = 0
+                for _ in range(w):
+                    x = x << 64 | word()
+                if x < ((1 << 64 * w) // n) * n:
+                    draws.append(x % n)
+            return draws
+
+        for seed in (0, 9, 2**40 + 3):
+            rng = SplitMix64(seed)
+            assert rng._below_each(n, 30) + [rng.below(n) for _ in range(10)] == reference(seed, 40)
+
     def test_sample_of_a_range_past_sys_maxsize(self):
         picked = SplitMix64(1).sample(range(1 << 63, 1 << 64), 5)
         assert len(set(picked)) == 5 and all(1 << 63 <= x < 1 << 64 for x in picked)
