@@ -16,7 +16,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
 from . import closed_form, dp, families, oracle, perturbation
 from .errors import DominionError, MismatchError, NoClosedFormError, ParseError, TooLargeError
-from .tree import DominationSummary, Tree, parse_edge_list, to_edge_list
+from .tree import DominationSummary, Tree, parse_edge_list, write_edge_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,12 +98,13 @@ def compute_row(text: str) -> ReportRow:
     """DP result for the input; family specs with a closed form are
     cross-checked against it and raise MismatchError on disagreement. A
     closed form for gamma only is checked on gamma, and the row reports
-    that the count came from the DP. A spec whose kind has a `fold` takes
-    its DP state from the spec; other inputs build a tree and fold it."""
+    that the count came from the DP. A family spec takes its DP state from
+    its kind's `fold`, with no tree built; an edge-list file is parsed into a
+    tree and folded."""
     spec = families.parse_family_spec(text) if _looks_like_spec(text) else None
-    fold = spec and families.FAMILIES[spec.kind].fold
-    if fold:
-        n_vertices, state = fold(spec)
+    if spec is not None:
+        family = families.FAMILIES[spec.kind]
+        n_vertices, state = family.size(spec), family.fold(spec)
         source, dp_result = spec.spec_string(), dp.root_summary(state)
     else:
         source, tree = _load_input(text)
@@ -161,14 +162,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = families.parse_family_spec(args.spec)
-    text = to_edge_list(families.build_tree(spec))
+    tree = families.build_tree(families.parse_family_spec(args.spec))
     if args.out == "-":
-        sys.stdout.write(text)
+        write_edge_list(tree, sys.stdout)
     else:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                write_edge_list(tree, handle)
         except OSError as exc:
             raise ParseError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
     return EXIT_OK

@@ -10,6 +10,13 @@ Label schemes (fixed so that witness sets are readable by eye):
 * complete binary trees: heap labels ``b1 .. b(2^(h+1)-1)`` where ``bk``
   has children ``b(2k)`` and ``b(2k+1)``; level of ``bk`` is floor(log2 k)
 * random trees: ``n1 .. nN``
+
+`FAMILIES` is the one table of kinds. Each kind builds its tree, gives its
+vertex count from a formula, and folds the dynamic program's root state
+straight from the spec, with no tree built: the path kinds and stars along
+their spine, binary trees level by level, and random trees along the
+Prüfer decoding that also builds them. Builds and random folds past
+`_MAX_VERTICES` vertices are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,17 +26,24 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .dp import _deletion_state, _spine_state
+from .dp import _deletion_state, _edge_state, _spine_state
 from .errors import (
     InvalidParameterError,
     NotALeafError,
     NotALevelLeafError,
     ParseError,
+    TooLargeError,
     UnknownVertexError,
     WouldBeEmptyError,
 )
 from .rng import SplitMix64
 from .tree import Tree, _IdEdges
+
+# The most vertices a spec may build, or fold through its Prüfer decoding.
+# `generate`, which costs the most per vertex, peaked at 300-330 bytes per
+# vertex (binary:h=20: 636 MB; random:n=2097152: 686 MB), so a spec at the
+# limit costs about 1.4 GB; binary:h=20, 2^21 - 1 vertices, fits twice over.
+_MAX_VERTICES = 1 << 22
 
 
 class _Pendants(NamedTuple):
@@ -40,6 +54,10 @@ class _Pendants(NamedTuple):
     hosts: range
     per_host: int = 1
     numbered: bool = False
+
+    @property
+    def total(self) -> int:
+        return len(self.hosts) * self.per_host
 
 
 def _uniform(n: int, r: int) -> _Pendants:
@@ -66,11 +84,9 @@ def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:
     return Tree(labels, _IdEdges(us, range(1, len(labels))))
 
 
-def _spine_fold(n: int, pendants: _Pendants) -> tuple[int, tuple]:
-    """(vertex count, root state) of `_path_with_pendants(n, pendants)`,
-    without building it."""
-    hosts, r = pendants.hosts, pendants.per_host
-    return n + len(hosts) * r, _spine_state(n, hosts, r)
+def _spine_fold(n: int, pendants: _Pendants) -> tuple:
+    """Root state of `_path_with_pendants(n, pendants)`, without building it."""
+    return _spine_state(n, pendants.hosts, pendants.per_host)
 
 
 def make_path(n: int) -> Tree:
@@ -154,11 +170,10 @@ def _check_leaf_names(deleted) -> None:
             raise UnknownVertexError(f"no vertex {label!r}")
 
 
-def _binary_fold(spec: FamilySpec) -> tuple[int, tuple]:
-    """(vertex count, root state) of a binary spec, from the level fold."""
+def _binary_fold(spec: FamilySpec) -> tuple:
+    """Root state of a binary spec, from the level fold."""
     _check_leaf_names(spec.deleted_leaves)
-    size = (2 << spec.h) - 1 - len(spec.deleted_leaves)
-    return size, _deletion_state(spec.h, _hits(spec.h, spec.deleted_leaves))
+    return _deletion_state(spec.h, _hits(spec.h, spec.deleted_leaves))
 
 
 def delete_leaves(tree: Tree, victims) -> Tree:
@@ -181,17 +196,14 @@ def delete_leaves(tree: Tree, victims) -> Tree:
     return Tree(map(tree.labels.__getitem__, kept), edges)
 
 
-def random_tree(n: int, seed: int) -> Tree:
-    """Uniformly random labeled tree on n1..nN, decoded from a random
-    Prüfer sequence drawn with :class:`SplitMix64`. Same (n, seed) always
-    yields the same tree."""
-    if n < 1:
-        raise InvalidParameterError("random tree needs n >= 1")
-    labels = [f"n{i}" for i in range(1, n + 1)]
+def _pruefer_edges(n: int, seed: int) -> _IdEdges:
+    """The edges of `random_tree(n, seed)` as (child, parent) ids, rooted at
+    n - 1, in the order the Prüfer decoding removes the children: the parent
+    of the leaf removed at step i is seq[i], and every vertex is removed
+    after all of its own children. No edges when n is 1."""
     if n == 1:
-        return Tree(labels, _IdEdges((), ()))
-    rng = SplitMix64(seed)
-    seq = rng._below_each(n, n - 2)
+        return _IdEdges([], [])
+    seq = SplitMix64(seed)._below_each(n, n - 2)
     degree = [1] * n
     for a in seq:
         degree[a] += 1
@@ -205,26 +217,44 @@ def random_tree(n: int, seed: int) -> Tree:
             leaf = a
         else:
             first = leaf = degree.index(1, first + 1)
-    return Tree(labels, _IdEdges(us + [leaf], seq + [n - 1]))
+    us.append(leaf)
+    seq.append(n - 1)
+    return _IdEdges(us, seq)
+
+
+def random_tree(n: int, seed: int) -> Tree:
+    """Uniformly random labeled tree on n1..nN, decoded from a random
+    Prüfer sequence drawn with :class:`SplitMix64`. Same (n, seed) always
+    yields the same tree."""
+    if n < 1:
+        raise InvalidParameterError("random tree needs n >= 1")
+    return Tree([f"n{i}" for i in range(1, n + 1)], _pruefer_edges(n, seed))
+
+
+def _random_fold(spec: FamilySpec) -> tuple:
+    """Root state of a random spec, at n{N}, folded along its Prüfer decoding."""
+    _check_size(spec)
+    return _edge_state(spec.n, *_pruefer_edges(spec.n, spec.seed))
 
 
 class Family(NamedTuple):
     """One family kind: its spec parameters as written, in canonical order;
-    its generator; `fold(spec) -> (vertex count, root state)`, which gives
-    the DP's root state without building the tree (None: build and fold it);
-    and the least `n` it accepts."""
+    its generator; `size(spec)`, the generated tree's vertex count from a
+    formula; `fold(spec)`, the DP's root state without building the tree, at
+    any root of the built tree; and the least `n` it accepts."""
 
     params: tuple[str, ...]
     build: Callable[[FamilySpec], Tree]
-    fold: Callable[[FamilySpec], tuple[int, tuple]] | None = None
+    size: Callable[[FamilySpec], int]
+    fold: Callable[[FamilySpec], tuple]
     min_n: int = 1
 
 
 def _path_kind(params: tuple[str, ...], pendants, min_n: int = 1) -> Family:
     """A path kind whose pendant leaves `pendants(spec)` describes, once for
-    both the build and the fold."""
+    the build, the size and the fold."""
     return Family(params, lambda s: _path_with_pendants(s.n, pendants(s)),
-                  lambda s: _spine_fold(s.n, pendants(s)), min_n)
+                  lambda s: s.n + pendants(s).total, lambda s: _spine_fold(s.n, pendants(s)), min_n)
 
 
 # The one table of family kinds. Adding a kind means one entry here and,
@@ -236,11 +266,12 @@ FAMILIES = {
     "alt-even": _path_kind(("n",), lambda s: _alternating(s.n, "even"), min_n=2),
     "alt-odd": _path_kind(("n",), lambda s: _alternating(s.n, "odd"), min_n=2),
     # a star is a one-vertex spine with m pendants
-    "star": Family(("m",), lambda s: make_star(s.n), lambda s: _spine_fold(1, _Pendants(range(1), s.n))),
+    "star": Family(("m",), lambda s: make_star(s.n), lambda s: s.n + 1,
+                   lambda s: _spine_fold(1, _Pendants(range(1), s.n))),
     "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves),
-                     _binary_fold),
+                     lambda s: (2 << s.h) - 1 - len(s.deleted_leaves), _binary_fold),
     "path": _path_kind(("n",), lambda s: _Pendants(range(0))),
-    "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed)),
+    "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed), lambda s: s.n, _random_fold),
 }
 KINDS = tuple(FAMILIES)
 _FIELDS = ("n", "r", "h", "seed")
@@ -340,6 +371,17 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(kind=kind, **fields)
 
 
+def _check_size(spec: FamilySpec) -> None:
+    """Refuse a spec with more than `_MAX_VERTICES` vertices, before anything
+    is allocated. A binary height past the limit's bit length is refused
+    without computing 2^(h+1)."""
+    if (spec.kind == "binary" and spec.h >= _MAX_VERTICES.bit_length()
+            or FAMILIES[spec.kind].size(spec) > _MAX_VERTICES):
+        raise TooLargeError(f"{spec.spec_string()} has more vertices than the limit of {_MAX_VERTICES}")
+
+
 def build_tree(spec: FamilySpec) -> Tree:
-    """Generate the tree described by `spec`."""
+    """Generate the tree described by `spec`; TooLargeError if it has more
+    than `_MAX_VERTICES` vertices."""
+    _check_size(spec)
     return FAMILIES[spec.kind].build(spec)

@@ -11,10 +11,11 @@ orderable, since serialization sorts by label.
 
 from __future__ import annotations
 
+import io
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTreeError, NotATreeError, ParseError, UnknownVertexError
 
@@ -233,6 +234,17 @@ def to_edge_list(tree: Tree) -> str:
     sorted with each edge's endpoints sorted. Round-trips through
     :func:`parse_edge_list` with identical label and edge sets (labels are
     written as strings; the text format is string-typed)."""
+    text = io.StringIO()
+    write_edge_list(tree, text)
+    return text.getvalue()
+
+
+_LINES_PER_WRITE = 1 << 14
+
+
+def write_edge_list(tree: Tree, handle: TextIO) -> None:
+    """Write :func:`to_edge_list`'s text to `handle`, the edges in blocks of
+    `_LINES_PER_WRITE` lines, so the whole text is never held at once."""
     labels = tree.labels
     n = len(labels)
     order = sorted(range(n), key=labels.__getitem__)
@@ -243,5 +255,6 @@ def to_edge_list(tree: Tree) -> str:
     # An edge sorts as the label ranks of its endpoints, packed low * n + high.
     ranked = zip(map(rank.__getitem__, tree._us), map(rank.__getitem__, tree._vs))
     keys = sorted(a * n + b if a < b else b * n + a for a, b in ranked)
-    edges = (f"{names[k // n]} {names[k % n]}" for k in keys)
-    return "\n".join(["vertices: " + " ".join(names), *edges, ""])
+    handle.write("vertices: " + " ".join(names) + "\n")
+    for start in range(0, len(keys), _LINES_PER_WRITE):
+        handle.write("".join([f"{names[k // n]} {names[k % n]}\n" for k in keys[start:start + _LINES_PER_WRITE]]))

@@ -163,7 +163,7 @@ class TestCompute:
 
 
 class TestSpecFolds:
-    """Family specs other than random take their DP state from the spec."""
+    """Every family spec takes its DP state from the spec."""
 
     @pytest.mark.parametrize("spec,digests", [
         ("uniform:n=5,r=2", ("236630cff75db7c80252d59a78999c350f17dcbb775f421b31593a13d6680002",
@@ -216,12 +216,10 @@ class TestSpecFolds:
         monkeypatch.setattr(tree.Tree, "__init__", boom)
         monkeypatch.setattr(families, "build_tree", boom)
         specs = ["uniform:n=4,r=2", "comb:n=7", "interior:n=6", "alt-even:n=9", "alt-odd:n=8", "star:m=5",
-                 "binary:h=4", "binary:h=4,delete=b16+b17+b20+b31", "path:n=11"]
-        assert {s.partition(":")[0] for s in specs} == set(families.KINDS) - {"random"}
+                 "binary:h=4", "binary:h=4,delete=b16+b17+b20+b31", "path:n=11", "random:n=5,seed=1"]
+        assert {s.partition(":")[0] for s in specs} == set(families.KINDS)
         for spec in specs:
             assert cli.compute_row(spec).gamma >= 1
-        with pytest.raises(AssertionError, match="a tree was built"):
-            cli.compute_row("random:n=5,seed=1")
 
     @pytest.mark.parametrize("h", [40, 1100])
     def test_binary_far_past_a_buildable_tree(self, capsys, h):
@@ -272,6 +270,61 @@ class TestSpecFolds:
         # The spec fold checks labels with the helper analyze_deletion uses,
         # and gives the errors the built tree gave.
         assert run(capsys, "compute", f"binary:h=3,delete={delete}") == (1, "", err)
+
+
+class TestSizeGuard:
+    """Specs past families._MAX_VERTICES are refused before anything is built
+    or decoded; the spies make any allocation fail the test instead."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        from dominion import families, tree
+
+        def boom(*_, **__):
+            raise AssertionError("a tree was allocated")
+
+        monkeypatch.setattr(tree.Tree, "__init__", boom)
+        monkeypatch.setattr(families, "_pruefer_edges", boom)
+        for kind, family in families.FAMILIES.items():
+            monkeypatch.setitem(families.FAMILIES, kind, family._replace(build=boom))
+
+    @pytest.mark.parametrize("argv,spec", [
+        (("compute", "--json"), "random:n=10000000000,seed=0"),
+        (("compute",), "random:n=4194305,seed=3"),
+        (("generate",), "binary:h=40"),
+        (("generate",), "random:n=10000000000,seed=0"),
+        (("generate",), "uniform:n=2000000,r=2"),
+        (("oracle",), "binary:h=40"),
+        (("oracle", "--cap", "30"), "star:m=4194304"),
+        (("oracle",), "binary:h=22,delete=b4194304"),
+    ])
+    def test_refused_before_allocating(self, capsys, no_allocation, argv, spec):
+        out_args = ("-",) if argv[0] == "generate" else ()
+        err = f"error: {spec} has more vertices than the limit of 4194304\n"
+        assert run(capsys, *argv, spec, *out_args) == (1, "", err)
+
+    def test_binary_height_refused_without_its_size(self, monkeypatch):
+        # 2 << h is never formed for a height past the limit's bit length.
+        from dominion import families
+        from dominion.errors import TooLargeError
+
+        def boom(*_):
+            raise AssertionError("2^(h+1) was computed")
+
+        monkeypatch.setitem(families.FAMILIES, "binary", families.FAMILIES["binary"]._replace(size=boom))
+        for h in (23, 10**12):
+            with pytest.raises(TooLargeError):
+                families._check_size(families.parse_family_spec(f"binary:h={h}"))
+
+    @pytest.mark.parametrize("spec", [
+        "binary:h=20", "binary:h=21", "random:n=4194304,seed=1", "star:m=4194303", "path:n=300000",
+        "random:n=250000,seed=1", "binary:h=17", "comb:n=2097152", "uniform:n=1398101,r=2",
+    ])
+    def test_the_limit_admits(self, spec):
+        # binary:h=20 and every size the tests and the benchmark build fit.
+        from dominion import families
+
+        families._check_size(families.parse_family_spec(spec))
 
 
 class TestDigits:
@@ -433,6 +486,21 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "star:m=2", "-")
         assert code == 0
         assert out.startswith("vertices: c u1 u2\n")
+
+    def test_writes_in_blocks(self, monkeypatch):
+        # The header, then the edge lines in blocks of 2^14; never the whole text at once.
+        from dominion import build_tree, parse_family_spec, to_edge_list
+
+        class Handle:
+            def write(self, text):
+                writes.append(text)
+
+        writes = []
+        monkeypatch.setattr(cli.sys, "stdout", Handle())
+        assert cli.main(["generate", "path:n=40000", "-"]) == 0
+        monkeypatch.undo()
+        assert [text.count("\n") for text in writes] == [1, 16384, 16384, 7231]
+        assert "".join(writes) == to_edge_list(build_tree(parse_family_spec("path:n=40000")))
 
     def test_compute_on_file_matches_spec(self, capsys, tmp_path):
         out_path = tmp_path / "g.edges"

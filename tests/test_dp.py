@@ -226,11 +226,8 @@ def test_combine_matches_the_inline_fold_every_kind(spec):
     assert _fold_with_combine(tree) == _root_state(tree)
 
 
-_FOLD_KINDS = [kind for kind in KINDS if kind != "random"]
-
-
-def test_every_kind_but_random_folds_from_its_spec():
-    assert [kind for kind in KINDS if FAMILIES[kind].fold is not None] == _FOLD_KINDS
+def test_every_kind_folds_from_its_spec():
+    assert all(callable(FAMILIES[kind].fold) and callable(FAMILIES[kind].size) for kind in KINDS)
 
 
 def _assert_fold_matches_the_built_tree(text):
@@ -238,23 +235,27 @@ def _assert_fold_matches_the_built_tree(text):
 
     spec = parse_family_spec(text)
     tree = build_tree(spec)
-    assert FAMILIES[spec.kind].fold(spec) == (tree.vertex_count, _root_state(tree)), text
+    if spec.kind == "random":  # folded at n{N}, where the Prüfer decoding ends
+        tree = root_at(tree, f"n{spec.n}")
+    family = FAMILIES[spec.kind]
+    assert (family.size(spec), family.fold(spec)) == (tree.vertex_count, _root_state(tree)), text
 
 
-@pytest.mark.parametrize("kind", _FOLD_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_the_spec_fold_matches_the_built_tree_fold_small(kind):
     # Every small parameter: 6-tuples and vertex counts equal exactly.
-    ranges = {"n": range(FAMILIES[kind].min_n, 16), "r": range(1, 4), "m": range(1, 11), "h": range(1, 8)}
+    ranges = {"n": range(FAMILIES[kind].min_n, 41 if kind == "random" else 16), "r": range(1, 4),
+              "m": range(1, 11), "h": range(1, 8), "seed": range(6)}
     params = FAMILIES[kind].params
     for values in product(*(ranges[p] for p in params)):
         _assert_fold_matches_the_built_tree(f"{kind}:" + ",".join(f"{p}={v}" for p, v in zip(params, values)))
 
 
-@pytest.mark.parametrize("kind", _FOLD_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_the_spec_fold_matches_the_built_tree_fold(kind, data):
-    ranges = {"n": (FAMILIES[kind].min_n, 300), "r": (1, 5), "m": (1, 300), "h": (1, 8)}
+    ranges = {"n": (FAMILIES[kind].min_n, 300), "r": (1, 5), "m": (1, 300), "h": (1, 8), "seed": (0, 2**64 - 1)}
     text = f"{kind}:" + ",".join(f"{p}={data.draw(st.integers(*ranges[p]))}" for p in FAMILIES[kind].params)
     if kind == "binary":  # any set of bottom-level leaves, the whole level included
         h = parse_family_spec(text).h
@@ -314,6 +315,21 @@ def test_combine_is_symmetric_in_its_children(data):
     pool = _vertex_states(random_tree(n, seed)) + _vertex_states(build_tree(parse_family_spec(spec)))
     children = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
     assert {combine(list(order)) for order in permutations(children)} == {combine(children)}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_combine_continues_from_a_running_state(data):
+    # combine's running state after A is itself a state: combine(A + B) == combine(B, combine(A)).
+    from dominion.dp import combine
+
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    spec = data.draw(st.sampled_from(_SPECS))
+    pool = _vertex_states(random_tree(n, seed)) + _vertex_states(build_tree(parse_family_spec(spec)))
+    a = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    b = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    assert combine(a + b) == combine(b, combine(a))
 
 
 def test_combine_of_no_children_is_the_leaf_state():
