@@ -77,21 +77,19 @@ def _looks_like_spec(text: str) -> bool:
     return ":" in text and kind in families.KINDS
 
 
-def _load_input(text: str) -> tuple[str, Tree]:
-    """Resolve a CLI input as either a family-spec string or an edge-list file."""
-    if _looks_like_spec(text):
-        spec = families.parse_family_spec(text)
-        return spec.spec_string(), families.build_tree(spec)
-    if os.path.exists(text):
-        try:
-            with open(text, encoding="utf-8-sig") as handle:
-                contents = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {text!r}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{text!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-        return text, parse_edge_list(contents)
-    raise ParseError(f"{text!r} is neither a family spec nor an existing file")
+def _read_tree(path: str) -> Tree:
+    """Parse the edge-list file at `path`, which a CLI input names when it is
+    not a family spec."""
+    if not os.path.exists(path):
+        raise ParseError(f"{path!r} is neither a family spec nor an existing file")
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            contents = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_edge_list(contents)
 
 
 def compute_row(text: str) -> ReportRow:
@@ -107,8 +105,8 @@ def compute_row(text: str) -> ReportRow:
         n_vertices, state = family.size(spec), family.fold(spec)
         source, dp_result = spec.spec_string(), dp.root_summary(state)
     else:
-        source, tree = _load_input(text)
-        n_vertices, dp_result = tree.vertex_count, dp.dp_count(tree)
+        tree = _read_tree(text)
+        source, n_vertices, dp_result = text, tree.vertex_count, dp.dp_count(tree)
     formula, method = dp_result, "dp"
     if spec is not None:
         gamma_formula = closed_form.GAMMA_FORMULAS.get(spec.kind)
@@ -150,7 +148,16 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    source, tree = _load_input(args.input)
+    if _looks_like_spec(args.input):
+        spec = families.parse_family_spec(args.input)
+        # What building would refuse is refused first, then a size over the
+        # cap, all before the tree is built.
+        families._check_size(spec)
+        families._check_leaf_names(spec.deleted_leaves)
+        oracle._check_cap(families.FAMILIES[spec.kind].size(spec), args.cap)
+        source, tree = spec.spec_string(), families.build_tree(spec)
+    else:
+        source, tree = args.input, _read_tree(args.input)
     if args.format == "enumerate":
         for members in oracle.enumerate_min_sets(tree, cap=args.cap).sets:
             print(" ".join(str(v) for v in members))

@@ -1,8 +1,8 @@
 """Linear-time three-state dynamic program computing the domination number
 of a tree together with the exact count of its minimum dominating sets.
 
-Each vertex v, processed in postorder, carries a state: the 6-tuple
-``(s_size, s_count, d_size, d_count, y_size, y_count)`` of three
+Each vertex v, processed after all of its children, carries a state: the
+6-tuple ``(s_size, s_count, d_size, d_count, y_size, y_count)`` of three
 (size, count) pairs describing the cheapest ways to handle the subtree
 below v:
 
@@ -13,11 +13,11 @@ below v:
   rest of the subtree is dominated, and v's parent must be selected.
 
 Unreachable states carry size ``inf`` and count 0. `combine` is the one
-place the per-vertex rule lives; the full fold over a built tree
-(`dp_count`) and the folds straight from a family's shape (`_spine_state`
-for paths with pendants, `_deletion_state` for complete binary trees with
-deleted leaves, `_edge_state` for random trees from their Prüfer decoding)
-all call it. The rule:
+place the per-vertex rule lives; the fold along a tree's edges
+(`_edge_state`, for `dp_count` and random specs) and the folds straight
+from a family's shape (`_spine_state` for paths with pendants,
+`_deletion_state` for complete binary trees with deleted leaves) all call
+it. The rule:
 
 * selected(v): each child may be in any of its three states; take each
   child's minimum, summing sizes and multiplying tie-summed counts.
@@ -34,9 +34,11 @@ The running state after some of v's children is itself such a 6-tuple, so
 `combine` can continue from it: `_edge_state` adds one child at a time, in
 any order that reaches each vertex after all of its children.
 
-Counts are exact unbounded integers. The full fold drives `combine` from a
-stack of child states along the postorder of the traversal from vertex 0,
-so input size is not limited by the interpreter recursion limit.
+Counts are exact unbounded integers. Every fold over a tree is
+`_edge_state`: a built tree folds along the leaf peel that its validation
+records, a random spec along its Prüfer decoding, which is a leaf peel too.
+Neither recurses, so input size is not limited by the interpreter recursion
+limit.
 """
 
 from __future__ import annotations
@@ -127,32 +129,16 @@ def combine(children, state: tuple = _LEAF_STATE) -> tuple:
 def dp_count(tree: Tree) -> DominationSummary:
     """Exact (gamma, zeta) of a tree in time linear in the vertex count.
 
-    The fold starts at vertex 0, along the depth-first traversal that
-    validation recorded; :func:`~dominion.tree.root_at` moves another vertex
-    there. The result is independent of the root.
+    The fold runs along the leaf peel that validation recorded, which ends
+    at vertex 0; :func:`~dominion.tree.root_at` moves another vertex there.
+    The result is independent of the root.
     """
     return root_summary(_root_state(tree))
 
 
 def _root_state(tree: Tree) -> tuple:
-    # Postorder lists each parent's children, in order, directly before any
-    # later sibling subtree, so a parent's child states are exactly the top
-    # k entries of a running stack. The fold hands `combine` that slice in
-    # pop order, top of the stack first. `combine` is symmetric in its
-    # children, so either order gives the same state, but not the same
-    # speed: in push order the big-int products come in another order, and
-    # comb:n=100000 folded in 2.2-2.3 s instead of ~1.0 s (2-vCPU VM).
-    stack: list = []
-    push = stack.append
-    for k in tree._postorder_child_counts:
-        if not k:
-            push(_LEAF_STATE)
-            continue
-        children = stack[:-k - 1:-1]
-        del stack[-k:]
-        push(combine(children))
-
-    return stack[-1]
+    """Vertex 0's state, folded along the leaf peel that validation recorded."""
+    return _edge_state(tree.vertex_count, *tree._order)
 
 
 def _spine_state(n: int, hosts: range, pendants: int) -> tuple:

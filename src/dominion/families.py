@@ -45,6 +45,13 @@ from .tree import Tree, _IdEdges
 # limit costs about 1.4 GB; binary:h=20, 2^21 - 1 vertices, fits twice over.
 _MAX_VERTICES = 1 << 22
 
+# The greatest height a binary spec or a leaf-deletion report may have. The
+# level fold adds h-bit sizes over h levels, so its time grows as h^2:
+# `compute binary:h=100000` took 3.0 s, h=200000 8.9 s, and h=262144, the
+# limit, 15 s at 17 MB; 2^20 would take about 4 minutes. Without it, 2^h
+# itself runs out of memory from h ~ 10^10 on.
+_MAX_HEIGHT = 1 << 18
+
 
 class _Pendants(NamedTuple):
     """The pendant leaves of a path kind: `per_host` leaves on each path
@@ -152,7 +159,7 @@ def bottom_leaf_index(h: int, label: str) -> int:
         except ValueError:  # past int()'s 4300-digit limit, as leaves are from h = 14284 on
             pass
         else:
-            if (1 << h) <= k < (1 << (h + 1)):
+            if k.bit_length() == h + 1:  # 2^h <= k < 2^(h+1), without forming 2^h
                 return k
     raise NotALevelLeafError(f"{label!r} is not a level-{h} leaf of the height-{h} tree")
 
@@ -170,8 +177,21 @@ def _check_leaf_names(deleted) -> None:
             raise UnknownVertexError(f"no vertex {label!r}")
 
 
+def _check_height(h: int) -> None:
+    """Refuse a height past `_MAX_HEIGHT`, before 2^h is formed."""
+    if h > _MAX_HEIGHT:
+        raise TooLargeError(f"height {h} is more than the limit of {_MAX_HEIGHT}")
+
+
+def _binary_size(spec: FamilySpec) -> int:
+    """Vertex count of a binary spec, its height checked first."""
+    _check_height(spec.h)
+    return (2 << spec.h) - 1 - len(spec.deleted_leaves)
+
+
 def _binary_fold(spec: FamilySpec) -> tuple:
     """Root state of a binary spec, from the level fold."""
+    _check_height(spec.h)
     _check_leaf_names(spec.deleted_leaves)
     return _deletion_state(spec.h, _hits(spec.h, spec.deleted_leaves))
 
@@ -269,7 +289,7 @@ FAMILIES = {
     "star": Family(("m",), lambda s: make_star(s.n), lambda s: s.n + 1,
                    lambda s: _spine_fold(1, _Pendants(range(1), s.n))),
     "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves),
-                     lambda s: (2 << s.h) - 1 - len(s.deleted_leaves), _binary_fold),
+                     _binary_size, _binary_fold),
     "path": _path_kind(("n",), lambda s: _Pendants(range(0))),
     "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed), lambda s: s.n, _random_fold),
 }

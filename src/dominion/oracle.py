@@ -36,6 +36,12 @@ def is_dominating(tree: Tree, subset) -> bool:
     return len(covered) == tree.vertex_count
 
 
+def _check_cap(n: int, cap: int) -> None:
+    """Refuse a tree of `n` vertices above the oracle's vertex `cap`."""
+    if n > cap:
+        raise TooLargeError(f"{n} vertices exceeds the oracle cap of {cap}")
+
+
 def _minimum_sets(tree: Tree, cap: int) -> tuple[list[Label], list[tuple[int, ...]]]:
     """The labels in sorted order, and every minimum dominating set as a
     tuple of indices into them, the tuples in lexicographic order.
@@ -45,8 +51,7 @@ def _minimum_sets(tree: Tree, cap: int) -> tuple[list[Label], list[tuple[int, ..
     tested if sizes 1..k together hold more than SUBSET_BUDGET subsets.
     """
     n = tree.vertex_count
-    if n > cap:
-        raise TooLargeError(f"{n} vertices exceeds the oracle cap of {cap}")
+    _check_cap(n, cap)
     order = sorted(tree.labels)
     position = {v: i for i, v in enumerate(order)}
     masks = []

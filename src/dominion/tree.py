@@ -2,11 +2,13 @@
 I/O.
 
 Trees work on integer vertex ids, the positions in `labels`, and touch labels
-only at input and output. Vertex 0 is the root: validation's depth-first
-traversal starts there, and `root_at` moves another vertex to id 0. Labels
-are opaque identifiers (strings from the parser and the generators; integers
-are accepted programmatically). All labels of one tree must be mutually
-orderable, since serialization sorts by label.
+only at input and output. Validation peels leaves, never vertex 0, and keeps
+the peel as the order the dynamic program folds, so vertex 0 is the root;
+`root_at` moves another vertex to id 0. Neighbour lists are built only on
+first use, for `neighbors` and `degree`. Labels are opaque identifiers
+(strings from the parser and the generators; integers are accepted
+programmatically). All labels of one tree must be mutually orderable, since
+serialization sorts by label.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Tree:
     safe to share across threads.
     """
 
-    __slots__ = ("labels", "_us", "_vs", "_offsets", "_nbrs", "_postorder_child_counts", "_ids")
+    __slots__ = ("labels", "_us", "_vs", "_order", "_csr", "_ids")
 
     def __init__(self, labels: Iterable[Label], edges: Iterable[tuple[Label, Label]]):
         labels = tuple(labels)
@@ -75,13 +77,14 @@ class Tree:
                 sorted(labels)
             except TypeError:
                 raise NotATreeError("vertex labels must be mutually orderable") from None
-        self._offsets, self._nbrs, self._postorder_child_counts = _csr_and_postorder(n, us, vs)
-        if len(self._postorder_child_counts) != n:
+        order = _peel(n, us, vs)
+        if len(order[1]) != n - 1:
             # n - 1 edges connect n vertices only if none is a self-loop or a
             # repeat, so id edges are checked for those only now, to name one.
             _edge_ids(labels, zip(map(labels.__getitem__, us), map(labels.__getitem__, vs)))
             raise NotATreeError("graph is disconnected")
-        self.labels, self._us, self._vs, self._ids = labels, us, vs, None
+        self.labels, self._us, self._vs, self._order = labels, us, vs, order
+        self._csr = self._ids = None
 
     @property
     def vertex_count(self) -> int:
@@ -102,7 +105,10 @@ class Tree:
             raise UnknownVertexError(f"no vertex {v!r}") from None
 
     def _neighbor_ids(self, i: int) -> array:
-        return self._nbrs[self._offsets[i]:self._offsets[i + 1]]
+        if self._csr is None:  # built on first use, like `_ids`
+            self._csr = _csr(len(self.labels), self._us, self._vs)
+        offsets, nbrs = self._csr
+        return nbrs[offsets[i]:offsets[i + 1]]
 
     def neighbors(self, v: Label) -> tuple[Label, ...]:
         return tuple(map(self.labels.__getitem__, self._neighbor_ids(self._id(v))))
@@ -138,13 +144,42 @@ def _edge_ids(labels: tuple, edges: Iterable[tuple[Label, Label]]) -> tuple[list
     return ends[0::2], ends[1::2]
 
 
-def _csr_and_postorder(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array, list]:
-    """CSR adjacency, vertex i's neighbours (in edge order) being
-    ``nbrs[offsets[i]:offsets[i + 1]]``; then the child counts along the
-    postorder of a depth-first traversal from vertex 0, the sequence the
-    dynamic program folds, which comes out short if a vertex is missed."""
+def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array]:
+    """Peel leaves, never vertex 0, first in first out from the initial leaves
+    in id order: the removed vertices and the neighbours they left, as
+    (children, parents) ids, each vertex after all of its own children, the
+    order `_edge_state` folds. It comes out short of n - 1 pairs unless the
+    n - 1 edges form a tree."""
     if us and not 0 <= min(chain(us, vs)) <= max(chain(us, vs)) < n:
         raise NotATreeError("an edge uses an undeclared vertex id")
+    degree = [0] * n
+    link = array("q", [0]) * n  # the XOR of each vertex's remaining neighbours' ids
+    for u, v in zip(us, vs):
+        degree[u] += 1
+        degree[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    children = array("q", [v for v in range(1, n) if degree[v] == 1])
+    parents = array("q")
+    push, record = children.append, parents.append
+    for c in children:  # grows while it is read
+        p = link[c]  # a leaf's one remaining neighbour
+        link[p] ^= c
+        d = degree[p] - 1
+        degree[p] = d
+        if p and d < 2:
+            if not d:
+                # p's last edge led to a leaf: the two are cut off from vertex
+                # 0, and p's link now reads 0, which must not attach p to it.
+                break
+            push(p)
+        record(p)
+    return children, parents
+
+
+def _csr(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array]:
+    """CSR adjacency: vertex i's neighbours, in edge order, are
+    ``nbrs[offsets[i]:offsets[i + 1]]``."""
     degree = [0] * n
     for u in chain(us, vs):
         degree[u] += 1
@@ -156,29 +191,13 @@ def _csr_and_postorder(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[ar
         free[u] += 1
         nbrs[free[v]] = u
         free[v] += 1
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    counts: list[int] = []
-    pop, push, record = stack.pop, stack.append, counts.append
-    while stack:
-        v = pop()
-        k = 0
-        for w in nbrs[offsets[v]:offsets[v + 1]]:
-            if not seen[w]:
-                seen[w] = 1
-                push(w)
-                k += 1
-        record(k)
-    # Reversing a right-to-left preorder yields the left-to-right postorder.
-    counts.reverse()
-    return offsets, nbrs, counts
+    return offsets, nbrs
 
 
 def root_at(tree: Tree, root: Label) -> Tree:
-    """`tree` with `root` as vertex 0, where the traversal that validation
-    records, and so the dynamic program's fold, starts: the ids of `root`
-    and of the first label trade places, and nothing else moves."""
+    """`tree` with `root` as vertex 0, the vertex that validation's leaf peel
+    keeps for last, so the dynamic program's fold ends there: the ids of
+    `root` and of the first label trade places, and nothing else moves."""
     r = tree._id(root)
     if not r:
         return tree  # trees are immutable

@@ -184,11 +184,11 @@ def test_c07_oracle_equivalence_corpus():
 
 
 def test_c08_linear_time_scaling():
-    # The sizes are timed interleaved, three rounds of h = 18, 19, 20, so a
+    # The sizes are timed interleaved, five rounds of h = 18, 19, 20, so a
     # change in the machine's speed during the test hits every size alike.
     trees = {h: make_complete_binary(h) for h in (18, 19, 20)}
     runs = {h: [] for h in trees}
-    for _ in range(3):
+    for _ in range(5):
         for h, tree in trees.items():
             runs[h].append(_timed_dp(tree))
     del trees

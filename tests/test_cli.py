@@ -22,6 +22,20 @@ class TestCompute:
         assert "zeta       5" in out
         assert "closed_form" in out
 
+    def test_files_fold_without_neighbour_lists(self, capsys, monkeypatch, tmp_path):
+        # Validation's peel gives the fold order; the CSR is built only for
+        # `neighbors` and `degree`, which neither generate nor compute needs.
+        from dominion import tree
+
+        def refuse(*_):
+            raise AssertionError("neighbour lists were built")
+
+        monkeypatch.setattr(tree, "_csr", refuse)
+        path = tmp_path / "r.edges"
+        assert run(capsys, "generate", "random:n=40,seed=3", str(path)) == (0, "", "")
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, err) == (0, "") and "dp" in out
+
     def test_binary(self, capsys):
         code, out, _ = run(capsys, "compute", "binary:h=3")
         assert code == 0
@@ -138,7 +152,7 @@ class TestCompute:
         assert len(calls) == 1
 
     def test_compute_never_roots(self, capsys, monkeypatch, tmp_path):
-        # The DP folds the traversal from vertex 0 that Tree validation
+        # The DP folds the leaf peel towards vertex 0 that Tree validation
         # already made, so neither `compute` nor `dp_count` calls `root_at`.
         import sys
 
@@ -327,6 +341,49 @@ class TestSizeGuard:
         families._check_size(families.parse_family_spec(spec))
 
 
+class _Height(int):
+    """A height that fails the test if 2^h, or 2^(h+1), is ever formed."""
+
+    def __rlshift__(self, other):
+        raise AssertionError("2^h was formed")
+
+
+class TestHeightBound:
+    """Binary heights past families._MAX_HEIGHT are refused before the level
+    fold runs, and before 2^h is formed."""
+
+    def test_refused_before_2_to_the_h(self):
+        from dominion import analyze_deletion, families, random_leaf_subset
+        from dominion.errors import TooLargeError
+
+        h = _Height(10**11)
+        spec = families.FamilySpec("binary", h=h)
+        calls = [lambda: families.FAMILIES["binary"].size(spec), lambda: families.FAMILIES["binary"].fold(spec),
+                 lambda: analyze_deletion(h, ()), lambda: random_leaf_subset(h, 3, 0),
+                 lambda: random_leaf_subset(h, -1, 0)]
+        for call in calls:
+            with pytest.raises(TooLargeError, match=f"^height {h} is more than the limit of 262144$"):
+                call()
+
+    def test_cli_refuses_past_the_limit(self, capsys, monkeypatch):
+        from dominion import families
+
+        monkeypatch.setattr(families, "_MAX_HEIGHT", 20)
+        err = "error: height 21 is more than the limit of 20\n"
+        for argv in [("compute", "binary:h=21"), ("compute", "--json", "binary:h=21,delete=b2097152"),
+                     ("perturb", "--h", "21"), ("perturb", "--h", "21", "--random-size", "3")]:
+            assert run(capsys, *argv) == (1, "", err)
+        assert run(capsys, "compute", "binary:h=20")[0] == 0
+        assert run(capsys, "perturb", "--h", "20", "--random-size", "3")[0] == 0
+
+    def test_the_limit_admits(self):
+        # binary:h=14290, which the tests fold, and every larger test height.
+        from dominion import families
+
+        for h in (1, 14290, families._MAX_HEIGHT):
+            families._check_height(h)
+
+
 class TestDigits:
     """`_digits` converts by bit halves above `_SPLIT_BITS`; it must match `str`."""
 
@@ -403,6 +460,30 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--cap", "4", "path:n=5")
         assert code == 1
         assert "cap" in err
+
+    def test_cap_is_checked_before_building(self, capsys, monkeypatch, tmp_path):
+        # A spec over --cap is refused from its vertex count, before it is
+        # built, with the text the oracle gives a parsed file over the cap.
+        from dominion import families
+
+        built = []
+
+        def spy(build):
+            return lambda spec: built.append(spec) or build(spec)
+
+        for kind, family in families.FAMILIES.items():
+            monkeypatch.setitem(families.FAMILIES, kind, family._replace(build=spy(family.build)))
+        for argv, n, cap in [(("binary:h=20",), 2097151, 24), (("--enumerate", "random:n=25,seed=1"), 25, 24),
+                             (("--json", "--cap", "4", "path:n=5"), 5, 4)]:
+            assert run(capsys, "oracle", *argv) == (1, "", f"error: {n} vertices exceeds the oracle cap of {cap}\n")
+        assert built == []
+        path = tmp_path / "p5.edges"
+        path.write_text("v1 v2\nv2 v3\nv3 v4\nv4 v5\n")
+        assert run(capsys, "oracle", "--cap", "4", str(path)) == (1, "", "error: 5 vertices exceeds the oracle cap of 4\n")
+        # What building refuses is still refused first, and a spec within the cap is built.
+        assert run(capsys, "oracle", "binary:h=5,delete=b032") == (1, "", "error: no vertex 'b032'\n")
+        assert run(capsys, "oracle", "--cap", "5", "path:n=5")[0] == 0
+        assert [spec.spec_string() for spec in built] == ["path:n=5"]
 
     def test_subset_budget(self, capsys):
         code, out, err = run(capsys, "oracle", "path:n=1000", "--cap", "1000")

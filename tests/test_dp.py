@@ -123,8 +123,8 @@ class TestRootInvariance:
        st.data())
 @settings(max_examples=80, deadline=None)
 def test_validation_fold_matches_any_rooting_random(n, seed, data):
-    # dp_count(Tree) folds the traversal from the first label that validation
-    # recorded; rooting anywhere else and folding that must agree.
+    # dp_count(Tree) folds the leaf peel that validation recorded, which ends
+    # at the first label; rooting anywhere else and folding that must agree.
     tree = random_tree(n, seed)
     root = data.draw(st.sampled_from(tree.labels))
     assert dp_count(tree) == dp_count(root_at(tree, root))
@@ -194,14 +194,23 @@ def test_every_state_matches_brute_force_at_every_root(n, seed):
         assert _root_state(root_at(tree, root)) == _brute_force_states(tree, root), root
 
 
-def _fold_with_combine(tree):
-    """The root state from `combine`, fed each vertex's children in pop order."""
+def _vertex_states(tree):
+    """Every vertex's state, the root's last, from one `combine` call per
+    vertex on all of its children, taken along the leaf peel."""
     from dominion.dp import combine
 
-    stack = []
-    for k in tree._postorder_child_counts:
-        stack.append(combine([stack.pop() for _ in range(k)]))
-    return stack[-1]
+    below = [[] for _ in range(tree.vertex_count)]  # each vertex's children's states
+    states = []
+    for c, p in zip(*tree._order):  # c comes after all of its own children
+        states.append(combine(below[c]))
+        below[p].append(states[-1])
+    states.append(combine(below[0]))
+    return states
+
+
+def _fold_with_combine(tree):
+    """The root state from one `combine` call per vertex on all of its children."""
+    return _vertex_states(tree)[-1]
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
@@ -265,43 +274,36 @@ def test_the_spec_fold_matches_the_built_tree_fold(kind, data):
     _assert_fold_matches_the_built_tree(text)
 
 
-def _vertex_states(tree):
-    """Every vertex's state, in postorder, from a fold with `combine`."""
-    from dominion.dp import combine
-
-    states, stack = [], []
-    for k in tree._postorder_child_counts:
-        stack.append(combine([stack.pop() for _ in range(k)]))
-        states.append(stack[-1])
-    return states
-
-
-def _assert_one_combine_per_parent(monkeypatch, tree):
+def _assert_one_combine_per_edge(monkeypatch, tree):
+    # The edge fold hands each parent its children one call at a time, so a
+    # parent gets one call per child, and a leaf none.
     from dominion import dp
 
     arities = []
     combine = dp.combine
 
-    def spy(children):
+    def spy(children, state):
         arities.append(len(children))
-        return combine(children)
+        return combine(children, state)
 
     expected = dp._root_state(tree)
     monkeypatch.setattr(dp, "combine", spy)
     assert dp._root_state(tree) == expected
-    assert arities == [k for k in tree._postorder_child_counts if k]
+    assert arities == [1] * (tree.vertex_count - 1)
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=100, deadline=None)
 def test_the_fold_calls_combine_once_per_parent(n, seed):
+    # Once per (parent, child) edge: the name is kept from the stack fold,
+    # which made one call per parent.
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_one_combine_per_parent(monkeypatch, random_tree(n, seed))
+        _assert_one_combine_per_edge(monkeypatch, random_tree(n, seed))
 
 
 @pytest.mark.parametrize("spec", _SPECS)
 def test_the_fold_calls_combine_once_per_parent_every_kind(monkeypatch, spec):
-    _assert_one_combine_per_parent(monkeypatch, build_tree(parse_family_spec(spec)))
+    _assert_one_combine_per_edge(monkeypatch, build_tree(parse_family_spec(spec)))
 
 
 @given(st.data())

@@ -120,6 +120,8 @@ REJECTIONS = {
               "vertices: a b c d\na b\nb c\nc a\n", NotATreeError),
     "first defect wins": (["a", "b", "c", "d"], [("a", "b"), ("d", "d"), ("b", "a")],
                           "vertices: a b c d\na b\nd d\nb a\n", NotATreeError),
+    "root self-loop beside an edge": (["a", "b", "c"], [("a", "a"), ("b", "c")],
+                                      "vertices: a b c\na a\nb c\n", NotATreeError),
 }
 
 
@@ -127,19 +129,76 @@ REJECTIONS = {
 def test_rejection_is_the_same_on_every_path(defect):
     # Label edges, parsed text and id edges (the generators' form) all reach
     # one validation and fail it with the same error.
-    from dominion.tree import _IdEdges
-
     labels, edges, text, error = REJECTIONS[defect]
     with pytest.raises(error) as by_label:
         Tree(labels, edges)
     with pytest.raises(error) as by_text:
         parse_edge_list(text)
-    ids = {v: i for i, v in enumerate(labels)}
     with pytest.raises(error) as by_id:
-        Tree(labels, _IdEdges([ids[u] for u, _ in edges], [ids[v] for _, v in edges]))
+        Tree(labels, _id_edges(labels, edges))
     assert str(by_label.value) == str(by_id.value)
     if labels:
         assert str(by_label.value) == str(by_text.value)
+
+
+def test_the_peel_does_not_attach_a_cut_off_edge_to_the_root():
+    # Peeling leaf b empties c, whose neighbour XOR then reads 0, the root's
+    # id: unguarded, c would be peeled onto the root and the graph accepted.
+    labels, edges, text, _ = REJECTIONS["root self-loop beside an edge"]
+    for build in (lambda: Tree(labels, edges), lambda: parse_edge_list(text),
+                  lambda: Tree(labels, _id_edges(labels, edges))):
+        with pytest.raises(NotATreeError, match="^self-loop at 'a'$"):
+            build()
+
+
+def _id_edges(labels, edges):
+    from dominion.tree import _IdEdges
+
+    ids = {v: i for i, v in enumerate(labels)}
+    return _IdEdges([ids[u] for u, _ in edges], [ids[v] for _, v in edges])
+
+
+def _verdict(labels, edges):
+    """What validation must say about n - 1 label edges, from a union-find:
+    None for a tree, else the first self-loop or repeated edge in input
+    order, else that the graph is disconnected."""
+    root = {v: v for v in labels}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at {u!r}"
+        if frozenset((u, v)) in seen:
+            return f"duplicate edge ({u!r}, {v!r})"
+        seen.add(frozenset((u, v)))
+        root[find(u)] = find(v)
+    return None if len({find(v) for v in labels}) == 1 else "graph is disconnected"
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=n - 1, max_size=n - 1)
+    .map(lambda ends: (n, ends))))
+@settings(max_examples=400, deadline=None)
+def test_accepts_exactly_the_trees(case):
+    # n - 1 random edges, loops and repeats allowed, on every path into `Tree`.
+    n, ends = case
+    labels = [f"x{i}" for i in range(n)]
+    edges = [(labels[u], labels[v]) for u, v in ends]
+    text = "vertices: " + " ".join(labels) + "\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    expected = _verdict(labels, edges)
+    for build in (lambda: Tree(labels, edges), lambda: parse_edge_list(text),
+                  lambda: Tree(labels, _id_edges(labels, edges))):
+        if expected is None:
+            assert build().vertex_count == n
+        else:
+            with pytest.raises(NotATreeError) as error:
+                build()
+            assert str(error.value) == expected
 
 
 def test_id_edges_outside_the_labels_are_rejected():
@@ -174,10 +233,10 @@ def test_constructor_rejects_empty():
 def test_root_at_p3_children_sorted():
     tree = parse_edge_list("a b\nb c\n")
     rooted = root_at(tree, "b")
-    # "b" and the first label trade ids; the two leaves come first in the
-    # postorder and the root, last, takes both of them as children.
+    # "b" and the first label trade ids; the peel removes the two leaves, in
+    # id order, from the root, which it keeps.
     assert rooted.labels == ("b", "a", "c")
-    assert rooted._postorder_child_counts == [0, 0, 2]
+    assert [list(ids) for ids in rooted._order] == [[1, 2], [0, 0]]
     assert rooted.neighbors("b") == ("a", "c")
 
 
@@ -186,7 +245,7 @@ def test_root_at_p2():
     assert root_at(tree, "a") is tree  # already vertex 0
     rooted = root_at(tree, "b")
     assert rooted.labels == ("b", "a")
-    assert rooted._postorder_child_counts == [0, 1]
+    assert [list(ids) for ids in rooted._order] == [[1], [0]]
     assert rooted.edges == tree.edges
 
 
@@ -264,14 +323,21 @@ def test_postorder_children_precede_parents(n, seed):
     root = sorted(tree.labels)[seed % n]
     rooted = root_at(tree, root)  # the same tree, with `root` at vertex 0
     assert rooted.labels[0] == root
-    # The child counts replay as a postorder: each vertex takes its children
-    # off a stack, and the root, last, takes every neighbour.
-    depth = 0
-    for k in rooted._postorder_child_counts:
-        assert k <= depth
-        depth += 1 - k
-    assert depth == 1
-    assert rooted._postorder_child_counts[-1] == tree.degree(root)
+    # The peel removes every vertex but the root once, along one of the
+    # tree's edges, and only after all of its own children: no vertex is a
+    # parent once it has been a child. The last parent is the root.
+    children, parents = rooted._order
+    assert sorted(children) == list(range(1, n))
+    assert {frozenset(e) for e in zip(children, parents)} == {frozenset(e) for e in zip(rooted._us, rooted._vs)}
+    removed = set()
+    for c, p in zip(children, parents):
+        assert p not in removed
+        removed.add(c)
+    assert list(parents[-1:]) == ([0] if n > 1 else [])
+    assert list(parents).count(0) == tree.degree(root)
+    # First in, first out: the initial leaves go first, in id order.
+    initial = [i for i in range(1, n) if rooted.degree(rooted.labels[i]) == 1]
+    assert list(children[:len(initial)]) == initial
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
