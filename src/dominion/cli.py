@@ -153,7 +153,6 @@ def _cmd_oracle(args) -> int:
         # What building would refuse is refused first, then a size over the
         # cap, all before the tree is built.
         families._check_size(spec)
-        families._check_leaf_names(spec.deleted_leaves)
         oracle._check_cap(families.FAMILIES[spec.kind].size(spec), args.cap)
         source, tree = spec.spec_string(), families.build_tree(spec)
     else:

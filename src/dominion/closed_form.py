@@ -2,14 +2,15 @@
 generated family, in exact integer arithmetic.
 
 Counts routinely exceed 64 bits (the full comb on n hosts has 2^n minimum
-dominating sets), so everything here stays in Python ints.
+dominating sets), so everything here stays in Python ints. No tree is
+built: a gamma-only closed form takes zeta from the kind's fold.
 """
 
 from __future__ import annotations
 
-from .dp import dp_count
+from .dp import root_summary
 from .errors import InvalidParameterError, NoClosedFormError
-from .families import FamilySpec, build_tree
+from .families import FAMILIES, FamilySpec
 from .tree import DominationSummary
 
 
@@ -101,13 +102,14 @@ def summary_for(spec: FamilySpec) -> DominationSummary:
     """The closed form matching `spec`.
 
     A kind whose closed form gives gamma only (bare paths) takes its count
-    from the dynamic program. Random trees and binary trees with deleted
-    leaves have no closed form at all.
+    from its `FAMILIES` fold, with no tree built. Random trees and binary
+    trees with deleted leaves have no closed form at all.
     """
     if spec.deleted_leaves:
         raise NoClosedFormError("perturbed binary trees have no closed form")
     if spec.kind in FORMULAS:
         return FORMULAS[spec.kind](spec)
     if spec.kind in GAMMA_FORMULAS:
-        return DominationSummary(GAMMA_FORMULAS[spec.kind](spec), dp_count(build_tree(spec)).zeta)
+        zeta = root_summary(FAMILIES[spec.kind].fold(spec)).zeta
+        return DominationSummary(GAMMA_FORMULAS[spec.kind](spec), zeta)
     raise NoClosedFormError(f"{spec.kind} trees have no closed form")

@@ -15,8 +15,10 @@ Label schemes (fixed so that witness sets are readable by eye):
 vertex count from a formula, and folds the dynamic program's root state
 straight from the spec, with no tree built: the path kinds and stars along
 their spine, binary trees level by level, and random trees along the
-Prüfer decoding that also builds them. Builds and random folds past
-`_MAX_VERTICES` vertices are refused before anything is allocated.
+Prüfer decoding that also builds them. `FamilySpec` checks every kind's
+parameters and `build_tree` is the one way to build one; the public builders
+are shortcuts into both. Builds and random folds past `_MAX_VERTICES`
+vertices are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _MAX_HEIGHT = 1 << 18
 class _Pendants(NamedTuple):
     """The pendant leaves of a path kind: `per_host` leaves on each path
     vertex whose id is in `hosts` (v(i+1) has id i), labelled ``l<i>_<j>``
-    when `numbered`, else ``l<i>``. `_path_with_pendants` and `_spine_fold` both read it."""
+    when `numbered`, else ``l<i>``; `dp._spine_state` takes its first two fields."""
 
     hosts: range
     per_host: int = 1
@@ -65,18 +67,6 @@ class _Pendants(NamedTuple):
     @property
     def total(self) -> int:
         return len(self.hosts) * self.per_host
-
-
-def _uniform(n: int, r: int) -> _Pendants:
-    return _Pendants(range(n), r, numbered=True)
-
-
-def _interior(n: int) -> _Pendants:
-    return _Pendants(range(1, n - 1))
-
-
-def _alternating(n: int, parity: str) -> _Pendants:
-    return _Pendants(range(1 if parity == "even" else 0, n, 2))
 
 
 def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:
@@ -91,57 +81,20 @@ def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:
     return Tree(labels, _IdEdges(us, range(1, len(labels))))
 
 
-def _spine_fold(n: int, pendants: _Pendants) -> tuple:
-    """Root state of `_path_with_pendants(n, pendants)`, without building it."""
-    return _spine_state(n, pendants.hosts, pendants.per_host)
-
-
-def make_path(n: int) -> Tree:
-    """Path v1 - v2 - ... - vn."""
-    if n < 1:
-        raise InvalidParameterError("path needs n >= 1")
-    return _path_with_pendants(n, _Pendants(range(0)))
-
-
-def make_uniform_pendant(n: int, r: int) -> Tree:
-    """Path v1..vn with r pendant leaves l<i>_1 .. l<i>_r on every vi."""
-    if n < 1 or r < 1:
-        raise InvalidParameterError("uniform pendant tree needs n >= 1 and r >= 1")
-    return _path_with_pendants(n, _uniform(n, r))
-
-
-def make_interior_pendant(n: int) -> Tree:
-    """Path v1..vn with one pendant l<i> on each interior vertex v2..v(n-1)."""
-    if n < 2:
-        raise InvalidParameterError("interior pendant tree needs n >= 2")
-    return _path_with_pendants(n, _interior(n))
-
-
-def make_alternating(n: int, parity: str) -> Tree:
-    """Path v1..vn with one pendant l<i> on each even-indexed (parity
-    ``"even"``) or odd-indexed (parity ``"odd"``) vertex."""
-    if n < 2:
-        raise InvalidParameterError("alternating comb needs n >= 2")
-    if parity not in ("even", "odd"):
-        raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return _path_with_pendants(n, _alternating(n, parity))
-
-
-def make_star(m: int) -> Tree:
-    """Star with center c and leaves u1..um."""
-    if m < 1:
-        raise InvalidParameterError("star needs m >= 1")
+def _star(spec: FamilySpec) -> Tree:
+    """Star with center c and leaves u1..um (m is stored in `n`)."""
+    m = spec.n
     return Tree(["c"] + [f"u{i}" for i in range(1, m + 1)], _IdEdges([0] * m, range(1, m + 1)))
 
 
-def make_complete_binary(h: int) -> Tree:
-    """Complete binary tree of height h with heap labels b1..b(2^(h+1)-1)."""
-    if h < 1:
-        raise InvalidParameterError("complete binary tree needs h >= 1")
-    size = (1 << (h + 1)) - 1
+def _binary_tree(spec: FamilySpec) -> Tree:
+    """Complete binary tree of height h with heap labels b1..b(2^(h+1)-1),
+    less the spec's deleted leaves."""
+    size = (2 << spec.h) - 1
     parents = range(size // 2)  # heap id k - 1 has children 2k - 1 and 2k
     us = list(chain.from_iterable(zip(parents, parents)))
-    return Tree([f"b{k}" for k in range(1, size + 1)], _IdEdges(us, range(1, size)))
+    tree = Tree([f"b{k}" for k in range(1, size + 1)], _IdEdges(us, range(1, size)))
+    return delete_leaves(tree, spec.deleted_leaves)
 
 
 def level_labels(h: int, level: int) -> list[str]:
@@ -242,15 +195,6 @@ def _pruefer_edges(n: int, seed: int) -> _IdEdges:
     return _IdEdges(us, seq)
 
 
-def random_tree(n: int, seed: int) -> Tree:
-    """Uniformly random labeled tree on n1..nN, decoded from a random
-    Prüfer sequence drawn with :class:`SplitMix64`. Same (n, seed) always
-    yields the same tree."""
-    if n < 1:
-        raise InvalidParameterError("random tree needs n >= 1")
-    return Tree([f"n{i}" for i in range(1, n + 1)], _pruefer_edges(n, seed))
-
-
 def _random_fold(spec: FamilySpec) -> tuple:
     """Root state of a random spec, at n{N}, folded along its Prüfer decoding."""
     _check_size(spec)
@@ -274,24 +218,24 @@ def _path_kind(params: tuple[str, ...], pendants, min_n: int = 1) -> Family:
     """A path kind whose pendant leaves `pendants(spec)` describes, once for
     the build, the size and the fold."""
     return Family(params, lambda s: _path_with_pendants(s.n, pendants(s)),
-                  lambda s: s.n + pendants(s).total, lambda s: _spine_fold(s.n, pendants(s)), min_n)
+                  lambda s: s.n + pendants(s).total, lambda s: _spine_state(s.n, *pendants(s)[:2]), min_n)
 
 
 # The one table of family kinds. Adding a kind means one entry here and,
 # if it has a closed form, one entry in `closed_form.FORMULAS`.
 FAMILIES = {
-    "uniform": _path_kind(("n", "r"), lambda s: _uniform(s.n, s.r)),
-    "comb": _path_kind(("n",), lambda s: _uniform(s.n, 1)),
-    "interior": _path_kind(("n",), lambda s: _interior(s.n), min_n=2),
-    "alt-even": _path_kind(("n",), lambda s: _alternating(s.n, "even"), min_n=2),
-    "alt-odd": _path_kind(("n",), lambda s: _alternating(s.n, "odd"), min_n=2),
-    # a star is a one-vertex spine with m pendants
-    "star": Family(("m",), lambda s: make_star(s.n), lambda s: s.n + 1,
-                   lambda s: _spine_fold(1, _Pendants(range(1), s.n))),
-    "binary": Family(("h",), lambda s: delete_leaves(make_complete_binary(s.h), s.deleted_leaves),
-                     _binary_size, _binary_fold),
+    "uniform": _path_kind(("n", "r"), lambda s: _Pendants(range(s.n), s.r, numbered=True)),
+    "comb": _path_kind(("n",), lambda s: _Pendants(range(s.n), 1, numbered=True)),
+    "interior": _path_kind(("n",), lambda s: _Pendants(range(1, s.n - 1)), min_n=2),
+    "alt-even": _path_kind(("n",), lambda s: _Pendants(range(1, s.n, 2)), min_n=2),
+    "alt-odd": _path_kind(("n",), lambda s: _Pendants(range(0, s.n, 2)), min_n=2),
+    # a star's fold is that of a one-vertex spine with m pendants
+    "star": Family(("m",), _star, lambda s: s.n + 1, lambda s: _spine_state(1, range(1), s.n)),
+    "binary": Family(("h",), _binary_tree, _binary_size, _binary_fold),
     "path": _path_kind(("n",), lambda s: _Pendants(range(0))),
-    "random": Family(("n", "seed"), lambda s: random_tree(s.n, s.seed), lambda s: s.n, _random_fold),
+    "random": Family(("n", "seed"),
+                     lambda s: Tree([f"n{i}" for i in range(1, s.n + 1)], _pruefer_edges(s.n, s.seed)),
+                     lambda s: s.n, _random_fold),
 }
 KINDS = tuple(FAMILIES)
 _FIELDS = ("n", "r", "h", "seed")
@@ -339,7 +283,7 @@ class FamilySpec:
         if self.deleted_leaves and self.kind != "binary":
             raise InvalidParameterError(f"{self.kind} does not take deleted leaves")
         if self.n is not None and self.n < family.min_n:
-            raise InvalidParameterError(f"{self.kind} needs n >= {family.min_n}")
+            raise InvalidParameterError(f"{self.kind} needs {family.params[0]} >= {family.min_n}")
         if self.r is not None and self.r < 1:
             raise InvalidParameterError("r must be >= 1")
         if self.h is not None and self.h < 1:
@@ -392,12 +336,14 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 
 def _check_size(spec: FamilySpec) -> None:
-    """Refuse a spec with more than `_MAX_VERTICES` vertices, before anything
-    is allocated. A binary height past the limit's bit length is refused
-    without computing 2^(h+1)."""
+    """Refuse a spec with more than `_MAX_VERTICES` vertices, then one that
+    deletes a leaf the tree does not have, before anything is allocated. A
+    binary height past the limit's bit length is refused without computing
+    2^(h+1)."""
     if (spec.kind == "binary" and spec.h >= _MAX_VERTICES.bit_length()
             or FAMILIES[spec.kind].size(spec) > _MAX_VERTICES):
         raise TooLargeError(f"{spec.spec_string()} has more vertices than the limit of {_MAX_VERTICES}")
+    _check_leaf_names(spec.deleted_leaves)
 
 
 def build_tree(spec: FamilySpec) -> Tree:
@@ -405,3 +351,43 @@ def build_tree(spec: FamilySpec) -> Tree:
     than `_MAX_VERTICES` vertices."""
     _check_size(spec)
     return FAMILIES[spec.kind].build(spec)
+
+
+def make_path(n: int) -> Tree:
+    """Path v1 - v2 - ... - vn."""
+    return build_tree(FamilySpec("path", n=n))
+
+
+def make_uniform_pendant(n: int, r: int) -> Tree:
+    """Path v1..vn with r pendant leaves l<i>_1 .. l<i>_r on every vi."""
+    return build_tree(FamilySpec("uniform", n=n, r=r))
+
+
+def make_interior_pendant(n: int) -> Tree:
+    """Path v1..vn with one pendant l<i> on each interior vertex v2..v(n-1)."""
+    return build_tree(FamilySpec("interior", n=n))
+
+
+def make_alternating(n: int, parity: str) -> Tree:
+    """Path v1..vn with one pendant l<i> on each even-indexed (parity
+    ``"even"``) or odd-indexed (parity ``"odd"``) vertex."""
+    if parity not in ("even", "odd"):
+        raise InvalidParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return build_tree(FamilySpec(f"alt-{parity}", n=n))
+
+
+def make_star(m: int) -> Tree:
+    """Star with center c and leaves u1..um."""
+    return build_tree(FamilySpec("star", n=m))
+
+
+def make_complete_binary(h: int) -> Tree:
+    """Complete binary tree of height h with heap labels b1..b(2^(h+1)-1)."""
+    return build_tree(FamilySpec("binary", h=h))
+
+
+def random_tree(n: int, seed: int) -> Tree:
+    """Uniformly random labeled tree on n1..nN, decoded from a random
+    Prüfer sequence drawn with :class:`SplitMix64`. Same (n, seed) always
+    yields the same tree."""
+    return build_tree(FamilySpec("random", n=n, seed=seed))

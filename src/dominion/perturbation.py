@@ -15,6 +15,7 @@ combines instead of a fold over all 2^(h+1) - 1 vertices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .closed_form import binary_summary
@@ -109,5 +110,10 @@ def random_leaf_subset(h: int, size: int, seed: int) -> frozenset[str]:
     if size > _MAX_LEAVES:
         raise TooLargeError(f"a random leaf set of {size} leaves is more than the limit of {_MAX_LEAVES}")
     _check_height(h)
+    # The largest label, 2^(h+1) - 1, passes str()'s digit limit (0: none) iff
+    # 2^(h+1) > 10^limit, which needs h >= 3 * limit: 10^limit is formed only then.
+    limit = sys.get_int_max_str_digits()
+    if size and limit and h >= 3 * limit and 2 << h > 10**limit:
+        raise TooLargeError(f"level-{h} leaf labels have more than {limit} digits, the int-to-str limit")
     rng = SplitMix64(seed)
     return frozenset(f"b{k}" for k in rng.sample(range(1 << h, 2 << h), size))

@@ -96,6 +96,10 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "uniform:n=0,r=1")
         assert code == 1
 
+    def test_star_error_names_m(self, capsys):
+        # The message names the parameter as written, not the field m is stored in.
+        assert run(capsys, "compute", "star:m=0") == (1, "", "error: star needs m >= 1\n")
+
     @pytest.mark.parametrize("command", ["compute", "oracle"])
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_input_is_usage_error(self, capsys, tmp_path, command, kind):
@@ -130,7 +134,7 @@ class TestCompute:
 
     def test_path_runs_the_dp_once(self, capsys, monkeypatch):
         # A path spec folds its spine once; neither compute nor the gamma
-        # cross-check folds a built tree.
+        # cross-check folds a built tree, and `summary_for` builds no path.
         from dominion import closed_form, dp, families
 
         calls = []
@@ -140,16 +144,18 @@ class TestCompute:
             calls.append(args)
             return real(*args)
 
-        def refuse(tree):
-            raise AssertionError("dp_count was called")
+        def refuse(*_):
+            raise AssertionError("a tree was built or folded")
 
         monkeypatch.setattr(families, "_spine_state", counting)
         monkeypatch.setattr(dp, "dp_count", refuse)
-        monkeypatch.setattr(closed_form, "dp_count", refuse)
+        monkeypatch.setitem(families.FAMILIES, "path", families.FAMILIES["path"]._replace(build=refuse))
         code, out, _ = run(capsys, "compute", "--json", "path:n=9")
         assert code == 0
         assert json.loads(out)["zeta"] == "1"
         assert len(calls) == 1
+        assert closed_form.summary_for(families.parse_family_spec("path:n=9")) == DominationSummary(3, 1)
+        assert len(calls) == 2
 
     def test_compute_never_roots(self, capsys, monkeypatch, tmp_path):
         # The DP folds the leaf peel towards vertex 0 that Tree validation
@@ -317,6 +323,23 @@ class TestSizeGuard:
         err = f"error: {spec} has more vertices than the limit of 4194304\n"
         assert run(capsys, *argv, spec, *out_args) == (1, "", err)
 
+    @pytest.mark.parametrize("build,spec", [
+        (lambda f: f.make_path(4194305), "path:n=4194305"),
+        (lambda f: f.make_uniform_pendant(1398102, 2), "uniform:n=1398102,r=2"),
+        (lambda f: f.make_interior_pendant(2097154), "interior:n=2097154"),
+        (lambda f: f.make_alternating(2796204, "odd"), "alt-odd:n=2796204"),
+        (lambda f: f.make_star(10**10), "star:m=10000000000"),
+        (lambda f: f.make_complete_binary(40), "binary:h=40"),
+        (lambda f: f.random_tree(10**10, 1), "random:n=10000000000,seed=1"),
+    ])
+    def test_builders_refused_before_allocating(self, no_allocation, build, spec):
+        # The public builders build through build_tree, so its limit holds for them.
+        from dominion import families
+        from dominion.errors import TooLargeError
+
+        with pytest.raises(TooLargeError, match=f"^{spec} has more vertices than the limit of 4194304$"):
+            build(families)
+
     def test_binary_height_refused_without_its_size(self, monkeypatch):
         # 2 << h is never formed for a height past the limit's bit length.
         from dominion import families
@@ -482,6 +505,8 @@ class TestOracleCommand:
         assert run(capsys, "oracle", "--cap", "4", str(path)) == (1, "", "error: 5 vertices exceeds the oracle cap of 4\n")
         # What building refuses is still refused first, and a spec within the cap is built.
         assert run(capsys, "oracle", "binary:h=5,delete=b032") == (1, "", "error: no vertex 'b032'\n")
+        # generate refuses a misspelled deleted leaf before building too.
+        assert run(capsys, "generate", "binary:h=5,delete=b63+b032", "-") == (1, "", "error: no vertex 'b032'\n")
         assert run(capsys, "oracle", "--cap", "5", "path:n=5")[0] == 0
         assert [spec.spec_string() for spec in built] == ["path:n=5"]
 
@@ -711,6 +736,22 @@ class TestPerturb:
         monkeypatch.setattr(SplitMix64, "sample", refuse)
         err = f"error: a random leaf set of {size} leaves is more than the limit of 65536\n"
         assert run(capsys, "perturb", "--h", h, "--random-size", size) == (1, "", err)
+
+    def test_random_size_past_the_digit_limit(self, capsys, monkeypatch):
+        # 2^14285 - 1, the largest level-14284 label, is the first with 4301
+        # digits; the refusal comes before any leaf is drawn.
+        from dominion import SplitMix64
+
+        code, out, err = run(capsys, "perturb", "--h", "14283", "--random-size", "1")
+        assert (code, err) == (0, "")
+        assert len(list(csv.reader(io.StringIO(out)))[1][1]) <= 4301
+
+        def refuse(*_):
+            raise AssertionError("leaves were drawn")
+
+        monkeypatch.setattr(SplitMix64, "sample", refuse)
+        err = "error: level-14284 leaf labels have more than 4300 digits, the int-to-str limit\n"
+        assert run(capsys, "perturb", "--h", "14284", "--random-size", "1") == (1, "", err)
 
     @pytest.mark.parametrize("h,size,extra", [(63, 5, ("--seed", "1")), (200, 3, ())])
     def test_random_size_past_the_ssize_t_range(self, capsys, h, size, extra):

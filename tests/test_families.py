@@ -122,7 +122,7 @@ class TestStar:
         assert tree.degree("c") == 5
 
     def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="^star needs m >= 1$"):
             make_star(0)
 
 
@@ -342,9 +342,18 @@ class TestFamilySpecGrammar:
             parse_family_spec("binary:h=3,delete=x9")
 
     def test_build_tree_matches_generators(self):
-        assert set(build_tree(parse_family_spec("comb:n=4")).labels) == set(
-            make_uniform_pendant(4, 1).labels
-        )
+        # Every kind's public builder gives the tree its spec builds.
+        builds = {
+            "path:n=7": make_path(7), "uniform:n=4,r=2": make_uniform_pendant(4, 2),
+            "comb:n=4": make_uniform_pendant(4, 1), "interior:n=6": make_interior_pendant(6),
+            "alt-even:n=6": make_alternating(6, "even"), "alt-odd:n=7": make_alternating(7, "odd"),
+            "star:m=5": make_star(5), "binary:h=3": make_complete_binary(3),
+            "random:n=12,seed=42": random_tree(12, 42),
+        }
+        assert {text.partition(":")[0] for text in builds} == set(FAMILIES)
+        for text, tree in builds.items():
+            spec_tree = build_tree(parse_family_spec(text))
+            assert (tree.labels, tree.edges) == (spec_tree.labels, spec_tree.edges), text
         assert build_tree(parse_family_spec("binary:h=3,delete=b8+b11")).vertex_count == 13
         assert build_tree(parse_family_spec("random:n=12,seed=42")).vertex_count == 12
         assert build_tree(parse_family_spec("star:m=5")).vertex_count == 6

@@ -11,6 +11,7 @@ from dominion import (
     InvalidParameterError,
     NotALevelLeafError,
     SplitMix64,
+    TooLargeError,
     UnknownVertexError,
     analyze_deletion,
     binary_summary,
@@ -226,6 +227,16 @@ class TestRandomLeafSubset:
         with pytest.raises(InvalidParameterError):
             random_leaf_subset(3, -1, 0)
         assert random_leaf_subset(3, 0, 0) == frozenset()
+
+    def test_labels_past_the_int_digit_limit(self):
+        # Level-14283 labels have at most 4300 digits; 2^14285 - 1, the
+        # largest level-14284 label, has 4301, so that level is refused
+        # before a draw, except for the empty set, which forms no label.
+        (label,) = random_leaf_subset(14283, 1, 5)
+        assert bottom_leaf_index(14283, label)
+        with pytest.raises(TooLargeError, match="^level-14284 leaf labels have more than 4300 digits"):
+            random_leaf_subset(14284, 1, 5)
+        assert random_leaf_subset(14284, 0, 5) == frozenset()
 
     @pytest.mark.parametrize("h", range(1, 11))
     def test_draws_match_a_shuffled_level_list(self, h):
