@@ -150,8 +150,8 @@ def _cmd_compute(args) -> int:
 def _cmd_oracle(args) -> int:
     if _looks_like_spec(args.input):
         spec = families.parse_family_spec(args.input)
-        # What building would refuse is refused first, then a size over the
-        # cap, all before the tree is built.
+        # The spec's checks come first, as in every command (the height, then
+        # the vertex limit), then a size over the cap, all before building.
         families._check_size(spec)
         oracle._check_cap(families.FAMILIES[spec.kind].size(spec), args.cap)
         source, tree = spec.spec_string(), families.build_tree(spec)

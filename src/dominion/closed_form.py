@@ -92,7 +92,7 @@ FORMULAS = {
     "interior": lambda s: interior_pendant_summary(s.n),
     "alt-even": lambda s: alternating_summary(s.n, "even"),
     "alt-odd": lambda s: alternating_summary(s.n, "odd"),
-    "star": lambda s: star_summary(s.n),
+    "star": lambda s: star_summary(s.m),
     "binary": lambda s: binary_summary(s.h),
 }
 GAMMA_FORMULAS = {"path": lambda s: (s.n + 2) // 3}

@@ -17,8 +17,10 @@ straight from the spec, with no tree built: the path kinds and stars along
 their spine, binary trees level by level, and random trees along the
 Prüfer decoding that also builds them. `FamilySpec` checks every kind's
 parameters and `build_tree` is the one way to build one; the public builders
-are shortcuts into both. Builds and random folds past `_MAX_VERTICES`
-vertices are refused before anything is allocated.
+are shortcuts into both. Every command meets the checks in one order: the
+grammar; each parameter's type and range, then the ``delete=`` labels
+(`FamilySpec`, the labels by `_hits`); a binary height past `_MAX_HEIGHT`
+(`size`, `fold`); then `_MAX_VERTICES`, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -82,9 +84,8 @@ def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:
 
 
 def _star(spec: FamilySpec) -> Tree:
-    """Star with center c and leaves u1..um (m is stored in `n`)."""
-    m = spec.n
-    return Tree(["c"] + [f"u{i}" for i in range(1, m + 1)], _IdEdges([0] * m, range(1, m + 1)))
+    """Star with center c and leaves u1..um."""
+    return Tree(["c"] + [f"u{i}" for i in range(1, spec.m + 1)], _IdEdges([0] * spec.m, range(1, spec.m + 1)))
 
 
 def _binary_tree(spec: FamilySpec) -> Tree:
@@ -104,30 +105,32 @@ def level_labels(h: int, level: int) -> list[str]:
     return [f"b{k}" for k in range(1 << level, 1 << (level + 1))]
 
 
-def bottom_leaf_index(h: int, label: str) -> int:
-    """Heap index of a level-h leaf label, rejecting anything else."""
-    if isinstance(label, str) and label.startswith("b") and label[1:].isdigit():
-        try:
-            k = int(label[1:])
-        except ValueError:  # past int()'s 4300-digit limit, as leaves are from h = 14284 on
-            pass
-        else:
-            if k.bit_length() == h + 1:  # 2^h <= k < 2^(h+1), without forming 2^h
-                return k
-    raise NotALevelLeafError(f"{label!r} is not a level-{h} leaf of the height-{h} tree")
-
-
 def _hits(h: int, deleted) -> Counter:
-    """Level-(h-1) parent index -> how many of its children are in `deleted`."""
-    return Counter(bottom_leaf_index(h, label) >> 1 for label in deleted)
+    """Level-(h-1) parent index -> how many of its children are in the label
+    set `deleted`. This is the one leaf-label check: each label must be
+    ``b<k>``, k a level-h heap index spelt as str(k). Otherwise a label that
+    is not a level-h leaf even as int() reads it is named before a misspelt
+    one (``b08``, non-ASCII digits), the least in str order; only this
+    failure path sorts."""
+    try:
+        indices = [int(label[1:]) for label in deleted]
+    except (TypeError, ValueError):  # not a number, or past int()'s 4300-digit limit (leaves from h = 14284 on)
+        indices = []
+    if (len(indices) == len(deleted) and all(k >> h == 1 for k in indices)  # 2^h <= k < 2^(h+1), without 2^h
+            and all(label == f"b{k}" for label, k in zip(deleted, indices))):
+        return Counter(k >> 1 for k in indices)
 
+    def reads_as_leaf(label) -> bool:
+        try:
+            return label[:1] == "b" and label[1:].isdigit() and int(label[1:]) >> h == 1
+        except (TypeError, ValueError):
+            return False
 
-def _check_leaf_names(deleted) -> None:
-    """Reject level-leaf labels that name no vertex: int() also reads b08 and
-    non-ASCII digits, but only the plain spelling is a heap label."""
-    for label in deleted:
-        if label[1] == "0" or not label.isascii():
-            raise UnknownVertexError(f"no vertex {label!r}")
+    labels = sorted(deleted, key=str)
+    for label in labels:
+        if not reads_as_leaf(label):
+            raise NotALevelLeafError(f"{label!r} is not a level-{h} leaf of the height-{h} tree")
+    raise UnknownVertexError(f"no vertex {next(label for label in labels if label != f'b{int(label[1:])}')!r}")
 
 
 def _check_height(h: int) -> None:
@@ -145,7 +148,6 @@ def _binary_size(spec: FamilySpec) -> int:
 def _binary_fold(spec: FamilySpec) -> tuple:
     """Root state of a binary spec, from the level fold."""
     _check_height(spec.h)
-    _check_leaf_names(spec.deleted_leaves)
     return _deletion_state(spec.h, _hits(spec.h, spec.deleted_leaves))
 
 
@@ -230,7 +232,7 @@ FAMILIES = {
     "alt-even": _path_kind(("n",), lambda s: _Pendants(range(1, s.n, 2)), min_n=2),
     "alt-odd": _path_kind(("n",), lambda s: _Pendants(range(0, s.n, 2)), min_n=2),
     # a star's fold is that of a one-vertex spine with m pendants
-    "star": Family(("m",), _star, lambda s: s.n + 1, lambda s: _spine_state(1, range(1), s.n)),
+    "star": Family(("m",), _star, lambda s: s.m + 1, lambda s: _spine_state(1, range(1), s.m)),
     "binary": Family(("h",), _binary_tree, _binary_size, _binary_fold),
     "path": _path_kind(("n",), lambda s: _Pendants(range(0))),
     "random": Family(("n", "seed"),
@@ -238,17 +240,12 @@ FAMILIES = {
                      lambda s: s.n, _random_fold),
 }
 KINDS = tuple(FAMILIES)
-_FIELDS = ("n", "r", "h", "seed")
-
-
-def _field(param: str) -> str:
-    """FamilySpec field holding a written parameter: star's m is stored in n."""
-    return "n" if param == "m" else param
+_FIELDS = ("n", "m", "r", "h", "seed")  # FamilySpec's parameters, in the order they are checked
 
 
 def format_leaf_set(labels) -> str:
-    """Heap labels in heap order, joined by '+' as in ``delete=b8+b11``."""
-    return "+".join(sorted(labels, key=lambda s: int(s[1:])))
+    """Checked heap labels in heap order (shorter first), joined as in ``delete=b8+b11``."""
+    return "+".join(sorted(labels, key=lambda s: (len(s), s)))
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,12 @@ class FamilySpec:
     Canonical string form (also the CLI grammar): ``uniform:n=4,r=2``,
     ``comb:n=4``, ``interior:n=6``, ``alt-even:n=6``, ``alt-odd:n=3``,
     ``star:m=5``, ``binary:h=3``, ``binary:h=3,delete=b8+b11``,
-    ``path:n=7``, ``random:n=12,seed=42``. Star size m is stored in `n`.
+    ``path:n=7``, ``random:n=12,seed=42``; each parameter is its own field.
     """
 
     kind: str
     n: int | None = None
+    m: int | None = None
     r: int | None = None
     h: int | None = None
     seed: int | None = None
@@ -272,28 +270,33 @@ class FamilySpec:
         family = FAMILIES.get(self.kind)
         if family is None:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
-        required = {_field(p) for p in family.params}
         for name in _FIELDS:
             value = getattr(self, name)
-            if name in required:
-                if value is None:
-                    raise InvalidParameterError(f"{self.kind} requires parameter {name}")
-            elif value is not None:
-                raise InvalidParameterError(f"{self.kind} does not take parameter {name}")
+            if name not in family.params:
+                if value is not None:
+                    raise InvalidParameterError(f"{self.kind} does not take parameter {name}")
+            elif value is None:
+                raise InvalidParameterError(f"{self.kind} requires parameter {name}")
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParameterError(f"parameter {name!r} must be an integer, got {value!r}")
+        if not isinstance(self.deleted_leaves, frozenset):  # a repeated label would count twice
+            raise InvalidParameterError(f"deleted_leaves must be a frozenset, got {self.deleted_leaves!r}")
         if self.deleted_leaves and self.kind != "binary":
             raise InvalidParameterError(f"{self.kind} does not take deleted leaves")
         if self.n is not None and self.n < family.min_n:
-            raise InvalidParameterError(f"{self.kind} needs {family.params[0]} >= {family.min_n}")
+            raise InvalidParameterError(f"{self.kind} needs n >= {family.min_n}")
+        if self.m is not None and self.m < 1:
+            raise InvalidParameterError("star needs m >= 1")
         if self.r is not None and self.r < 1:
             raise InvalidParameterError("r must be >= 1")
         if self.h is not None and self.h < 1:
             raise InvalidParameterError("h must be >= 1")
-        for label in self.deleted_leaves:
-            bottom_leaf_index(self.h, label)
+        if self.deleted_leaves:
+            _hits(self.h, self.deleted_leaves)
 
     def spec_string(self) -> str:
         """Canonical string form; `parse_family_spec` is its inverse."""
-        body = ",".join(f"{p}={getattr(self, _field(p))}" for p in FAMILIES[self.kind].params)
+        body = ",".join(f"{p}={getattr(self, p)}" for p in FAMILIES[self.kind].params)
         if self.deleted_leaves:
             body += ",delete=" + format_leaf_set(self.deleted_leaves)
         return f"{self.kind}:{body}"
@@ -320,12 +323,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         if key == "delete":
             fields["deleted_leaves"] = frozenset(value.split("+"))
             continue
-        if key in FAMILIES[kind].params:
-            key = _field(key)
-        if key not in _FIELDS:
+        if key not in _FIELDS or key == "m" and kind != "star":  # m is star's alone
             raise ParseError(f"unknown parameter {key!r} for {kind!r}")
-        if key in fields:
-            raise ParseError(f"conflicting parameter {key!r} in {text!r}")
         try:
             fields[key] = int(value)
         except ValueError:
@@ -336,14 +335,10 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 
 def _check_size(spec: FamilySpec) -> None:
-    """Refuse a spec with more than `_MAX_VERTICES` vertices, then one that
-    deletes a leaf the tree does not have, before anything is allocated. A
-    binary height past the limit's bit length is refused without computing
-    2^(h+1)."""
-    if (spec.kind == "binary" and spec.h >= _MAX_VERTICES.bit_length()
-            or FAMILIES[spec.kind].size(spec) > _MAX_VERTICES):
+    """Refuse a spec with more than `_MAX_VERTICES` vertices before anything
+    is allocated; a binary spec's `size` refuses its height first."""
+    if FAMILIES[spec.kind].size(spec) > _MAX_VERTICES:
         raise TooLargeError(f"{spec.spec_string()} has more vertices than the limit of {_MAX_VERTICES}")
-    _check_leaf_names(spec.deleted_leaves)
 
 
 def build_tree(spec: FamilySpec) -> Tree:
@@ -378,7 +373,7 @@ def make_alternating(n: int, parity: str) -> Tree:
 
 def make_star(m: int) -> Tree:
     """Star with center c and leaves u1..um."""
-    return build_tree(FamilySpec("star", n=m))
+    return build_tree(FamilySpec("star", m=m))
 
 
 def make_complete_binary(h: int) -> Tree:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .closed_form import binary_summary
 from .dp import _deletion_state, root_summary
 from .errors import InvalidParameterError, TooLargeError
-from .families import _check_height, _check_leaf_names, _hits, level_labels
+from .families import _check_height, _hits, level_labels
 from .rng import SplitMix64
 
 # The most leaves one `perturb` run lists (--all-single-leaves) or draws
@@ -56,16 +56,15 @@ def m1_of(h: int, deleted) -> int:
 
 def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     """Full before/after report for deleting `deleted` (a proper subset of
-    the bottom level, possibly empty) from the height-h tree; heights past
-    `families._MAX_HEIGHT` are refused."""
+    the bottom level, possibly empty) from the height-h tree. Its labels are
+    checked as a spec's ``delete=`` is, then the height, then the subset."""
     if h < 2:
         raise InvalidParameterError("leaf-deletion analysis needs h >= 2")
     deleted = frozenset(deleted)
     hits = _hits(h, deleted)
     _check_height(h)
-    if len(deleted) >= 1 << h:
+    if len(deleted) == 1 << h:
         raise InvalidParameterError("cannot delete the entire bottom level")
-    _check_leaf_names(deleted)
     m1 = list(hits.values()).count(1)
     before = binary_summary(h)
     after = root_summary(_deletion_state(h, hits))
@@ -102,14 +101,11 @@ def random_leaf_subset(h: int, size: int, seed: int) -> frozenset[str]:
     reproducible manifests."""
     if h < 1:
         raise InvalidParameterError("height must be >= 1")
-    if size < 0 or size >> h:  # not 0 <= size < 2^h, without forming 2^h
-        _check_height(h)
-        raise InvalidParameterError(
-            f"subset size must be in [0, {(1 << h) - 1}] for height {h}"
-        )
+    _check_height(h)
+    if not 0 <= size < 1 << h:
+        raise InvalidParameterError(f"subset size must be in [0, {(1 << h) - 1}] for height {h}")
     if size > _MAX_LEAVES:
         raise TooLargeError(f"a random leaf set of {size} leaves is more than the limit of {_MAX_LEAVES}")
-    _check_height(h)
     # The largest label, 2^(h+1) - 1, passes str()'s digit limit (0: none) iff
     # 2^(h+1) > 10^limit, which needs h >= 3 * limit: 10^limit is formed only then.
     limit = sys.get_int_max_str_digits()

@@ -340,18 +340,14 @@ class TestSizeGuard:
         with pytest.raises(TooLargeError, match=f"^{spec} has more vertices than the limit of 4194304$"):
             build(families)
 
-    def test_binary_height_refused_without_its_size(self, monkeypatch):
-        # 2 << h is never formed for a height past the limit's bit length.
+    def test_binary_height_refused_without_its_size(self):
+        # The binary size refuses a height past the limit before 2 << h is formed.
         from dominion import families
         from dominion.errors import TooLargeError
 
-        def boom(*_):
-            raise AssertionError("2^(h+1) was computed")
-
-        monkeypatch.setitem(families.FAMILIES, "binary", families.FAMILIES["binary"]._replace(size=boom))
-        for h in (23, 10**12):
-            with pytest.raises(TooLargeError):
-                families._check_size(families.parse_family_spec(f"binary:h={h}"))
+        h = _Height(10**12)
+        with pytest.raises(TooLargeError, match=f"^height {h} is more than the limit of 262144$"):
+            families._check_size(families.FamilySpec("binary", h=h))
 
     @pytest.mark.parametrize("spec", [
         "binary:h=20", "binary:h=21", "random:n=4194304,seed=1", "star:m=4194303", "path:n=300000",
@@ -405,6 +401,61 @@ class TestHeightBound:
 
         for h in (1, 14290, families._MAX_HEIGHT):
             families._check_height(h)
+
+
+class TestSameVerdict:
+    """A bad input meets the checks in one order, whatever the command: the
+    grammar, the parameters, the leaf labels, the height, the whole level
+    (perturb), the vertex limit and the oracle cap."""
+
+    @pytest.mark.parametrize("spec,perturb,err", [
+        ("binary:h=300000", ("--h", "300000"), "height 300000 is more than the limit of 262144"),
+        ("binary:h=25,delete=b033554432", ("--h", "25", "--delete", "b033554432"), "no vertex 'b033554432'"),
+        ("binary:h=2,delete=b4+b5+b6+b07", ("--h", "2", "--delete", "b4+b5+b6+b07"), "no vertex 'b07'"),
+        # several bad labels: the least in str order is named, non-leaves first
+        ("binary:h=3,delete=b6+b5+b4", ("--h", "3", "--delete", "b6+b5+b4"),
+         "'b4' is not a level-3 leaf of the height-3 tree"),
+        ("binary:h=3,delete=b09+b08+b010", ("--h", "3", "--delete", "b09+b08+b010"), "no vertex 'b010'"),
+        ("star:n=3", None, "star does not take parameter n"),
+        ("star:m=3,n=2", None, "star does not take parameter n"),
+        (None, ("--h", "300000", "--random-size", "70000"), "height 300000 is more than the limit of 262144"),
+    ])
+    def test_every_command_gives_the_same_error(self, capsys, spec, perturb, err):
+        runs = []
+        if spec is not None:
+            runs += [("compute", spec), ("compute", "--json", spec), ("generate", spec, "-"), ("oracle", spec),
+                     ("oracle", "--enumerate", spec)]
+        if perturb is not None:
+            runs.append(("perturb", *perturb))
+        for argv in runs:
+            assert run(capsys, *argv) == (1, "", f"error: {err}\n"), argv
+
+    def test_stderr_does_not_depend_on_the_hash_seed(self):
+        # Set iteration order follows PYTHONHASHSEED; the error must not.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dominion
+
+        script = (
+            "from dominion import cli\n"
+            "for spec in ('b4+b5+b6', 'b08+b09+b010', 'b8+b08+b9+b010', 'b08+b4+b16'):\n"
+            "    cli.main(['compute', 'binary:h=3,delete=' + spec])\n"
+            "    cli.main(['perturb', '--h', '3', '--delete', spec])\n"
+        )
+        src = str(Path(dominion.__file__).resolve().parents[1])
+        errs = set()
+        for seed in range(6):
+            env = {"PATH": "", "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            errs.add(done.stderr)
+        (err,) = errs
+        assert err.splitlines() == [
+            *["error: 'b4' is not a level-3 leaf of the height-3 tree"] * 2,
+            *["error: no vertex 'b010'"] * 4,
+            *["error: 'b16' is not a level-3 leaf of the height-3 tree"] * 2,
+        ]
 
 
 class TestDigits:
@@ -674,7 +725,8 @@ class TestPerturb:
             ("3", "b8+b08", "error: no vertex 'b08'\n"),
             ("3", "b\u0668", "error: no vertex 'b\u0668'\n"),
             ("3", "b08+b4", "error: 'b4' is not a level-3 leaf of the height-3 tree\n"),
-            ("2", "b4+b5+b6+b07", "error: cannot delete the entire bottom level\n"),
+            ("2", "b4+b5+b6+b07", "error: no vertex 'b07'\n"),  # b7 stays: not the whole level
+            ("2", "b4+b5+b6+b7", "error: cannot delete the entire bottom level\n"),
         ],
     )
     def test_label_errors(self, capsys, h, delete, err):

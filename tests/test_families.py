@@ -320,7 +320,7 @@ class TestFamilySpecGrammar:
     @pytest.mark.parametrize(
         "text",
         ["nonsense:n=3", "uniform", "uniform:n", "uniform:n=x", "uniform:n=3,n=4",
-         "star:n=5,m=2", "path:n=7,delete=b8"],
+         "path:m=3", "path:n=7,delete=b8"],
     )
     def test_bad_grammar(self, text):
         with pytest.raises(ParseError):
@@ -329,7 +329,7 @@ class TestFamilySpecGrammar:
     @pytest.mark.parametrize(
         "text",
         ["uniform:n=4", "uniform:n=0,r=1", "alt-even:n=1", "binary:h=0",
-         "random:n=5", "interior:n=6,r=2"],
+         "random:n=5", "interior:n=6,r=2", "star:n=5", "star:n=5,m=2"],
     )
     def test_bad_parameters(self, text):
         with pytest.raises(InvalidParameterError):
@@ -363,7 +363,23 @@ class TestFamilySpecGrammar:
         with pytest.raises(InvalidParameterError):
             FamilySpec(kind="uniform", n=4)
         with pytest.raises(InvalidParameterError):
-            FamilySpec(kind="star", n=3, deleted_leaves=frozenset({"b8"}))
+            FamilySpec(kind="star", m=3, deleted_leaves=frozenset({"b8"}))
+
+    @pytest.mark.parametrize("build,err", [
+        (lambda: make_path(2.5), "parameter 'n' must be an integer, got 2.5"),
+        (lambda: make_star("3"), "parameter 'm' must be an integer, got '3'"),
+        (lambda: random_tree(5, 1.5), "parameter 'seed' must be an integer, got 1.5"),
+        (lambda: make_path(True), "parameter 'n' must be an integer, got True"),
+        (lambda: FamilySpec("binary", h=3.0), "parameter 'h' must be an integer, got 3.0"),
+        # a tuple could repeat a label, which the fold would count twice
+        (lambda: FamilySpec("binary", h=3, deleted_leaves=("b8", "b8")),
+         r"deleted_leaves must be a frozenset, got \('b8', 'b8'\)"),
+    ])
+    def test_parameters_must_have_their_types(self, build, err):
+        # The written name is reported, m for a star; an int subclass passes.
+        with pytest.raises(InvalidParameterError, match=f"^{err}$"):
+            build()
+        assert FamilySpec("path", n=type("Count", (int,), {})(3)).n == 3
 
 
 @pytest.mark.parametrize(

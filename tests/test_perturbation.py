@@ -24,7 +24,7 @@ from dominion import (
     single_leaf_doubling_check,
 )
 from dominion.dp import _root_state
-from dominion.families import bottom_leaf_index
+from dominion.families import _hits
 from dominion.perturbation import _deletion_state
 
 
@@ -48,6 +48,8 @@ class TestM1:
             m1_of(3, {"x1"})
         with pytest.raises(NotALevelLeafError):
             m1_of(3, {"b16"})
+        with pytest.raises(UnknownVertexError):  # int() reads it as b8, but no vertex is spelt so
+            m1_of(3, {"b08"})
 
 
 class TestAnalyzeDeletion:
@@ -170,7 +172,7 @@ class TestIncrementalDeletion:
 
 class TestLabelErrorParity:
     # Non-canonical spellings of a level-h index name no vertex of the tree;
-    # the errors keep their order: not a level leaf, whole level, no vertex.
+    # the errors keep their order: not a level leaf, no vertex, whole level.
     @pytest.mark.parametrize("deleted", [{"b08"}, {"b8", "b08"}, {"b\u0668"}, {"b8", "b\u0668"}])
     def test_non_canonical_label_names_no_vertex(self, deleted):
         odd = next(label for label in deleted if label != "b8")
@@ -181,16 +183,19 @@ class TestLabelErrorParity:
         with pytest.raises(NotALevelLeafError, match="'b4'"):
             analyze_deletion(3, {"b08", "b4"})
 
-    def test_whole_level_comes_before_no_vertex(self):
-        with pytest.raises(InvalidParameterError, match="entire bottom level"):
+    def test_no_vertex_comes_before_whole_level(self):
+        # b7 stays, so this set is not the whole level.
+        with pytest.raises(UnknownVertexError, match="^no vertex 'b07'$"):
             analyze_deletion(2, {"b4", "b5", "b6", "b07"})
+        with pytest.raises(InvalidParameterError, match="entire bottom level"):
+            analyze_deletion(2, {"b4", "b5", "b6", "b7"})
 
     def test_label_past_the_int_digit_limit(self):
         h = 14285  # every level-h label has 4301 digits
         label = "b" + str(Decimal(1 << h))
         assert len(label) == 4302
         with pytest.raises(NotALevelLeafError):
-            bottom_leaf_index(h, label)
+            _hits(h, {label})
         with pytest.raises(NotALevelLeafError):
             analyze_deletion(h, {label})
 
@@ -233,7 +238,7 @@ class TestRandomLeafSubset:
         # largest level-14284 label, has 4301, so that level is refused
         # before a draw, except for the empty set, which forms no label.
         (label,) = random_leaf_subset(14283, 1, 5)
-        assert bottom_leaf_index(14283, label)
+        assert sum(_hits(14283, {label}).values()) == 1
         with pytest.raises(TooLargeError, match="^level-14284 leaf labels have more than 4300 digits"):
             random_leaf_subset(14284, 1, 5)
         assert random_leaf_subset(14284, 0, 5) == frozenset()
