@@ -185,6 +185,7 @@ def _cmd_perturb(args) -> int:
     if args.seed is not None and args.random_size is None:
         raise ParseError("--seed is only used with --random-size")
     if args.all_single_leaves:
+        families._check_height(h)
         if h >= perturbation._MAX_LEAVES.bit_length():  # 2^h leaves, compared without building 2^h
             raise TooLargeError(
                 f"--all-single-leaves at height {h} lists 2^{h} leaves, "
@@ -194,7 +195,7 @@ def _cmd_perturb(args) -> int:
     elif args.random_size is not None:
         leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed or 0)]
     else:  # no selection flag, like --delete "", deletes nothing
-        leaf_sets = [args.delete.split("+") if args.delete else ()]
+        leaf_sets = [families._leaf_set(args.delete) if args.delete else ()]
     reports = [perturbation.analyze_deletion(h, x) for x in leaf_sets]
     writer = csv.writer(sys.stdout)
     writer.writerow(PERTURB_COLUMNS)

@@ -15,12 +15,15 @@ from .tree import DominationSummary
 
 
 def fibonacci(t: int) -> int:
-    """F_t with F_1 = F_2 = 1, evaluated iteratively in O(t) additions."""
+    """F_t with F_1 = F_2 = 1, by fast doubling in O(log t) products:
+    F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
     if t < 1:
         raise InvalidParameterError("Fibonacci index must be >= 1")
-    a, b = 1, 1
-    for _ in range(t - 1):
-        a, b = b, a + b
+    a, b = 0, 1  # F(k), F(k+1), for k the leading bits of t read so far
+    for bit in f"{t:b}":
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

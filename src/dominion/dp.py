@@ -34,6 +34,16 @@ The running state after some of v's children is itself such a 6-tuple, so
 `combine` can continue from it: `_edge_state` adds one child at a time, in
 any order that reaches each vertex after all of its children.
 
+The pairs form the (min, +, count) semiring: ⊕ keeps the smaller size and
+adds the counts on a tie, ⊗ adds the sizes and multiplies the counts, and
+``(inf, 0)`` is the zero. Over it, adding a child is linear twice: in the
+child's state for a fixed running state, and in the running state for a
+fixed child. So each such map is a 3×3 matrix, and `_matrix` reads it off
+by probing `combine` with the three unit states, which keeps `combine` the
+one copy of the rule. `_spine_state` takes a periodic spine as matrix
+powers by squaring, in O(log n) products instead of n combines, and
+refuses a product whose count could pass `_MAX_COUNT_BITS`.
+
 Counts are exact unbounded integers. Every fold over a tree is
 `_edge_state`: a built tree folds along the leaf peel that its validation
 records, a random spec along its Prüfer decoding, which is a leaf peel too.
@@ -141,17 +151,103 @@ def _root_state(tree: Tree) -> tuple:
     return _edge_state(tree.vertex_count, *tree._order)
 
 
+# The most bits a count in a spine fold may have: a product that could pass
+# it is refused before it is formed. Time, not memory, sets it. The costliest
+# kinds per count bit are the alternating combs, whose block matrix is dense:
+# `compute alt-odd:n=12000000` (a 4.17M-bit count) took 6.0 s at 24 MB, and
+# alt-odd:n=24000000 (8.3M bits) 18.6 s at 31 MB; `compute comb:n=4194300`
+# took 0.44 s at 23 MB, and comb:n=2^26 7.8 s at 121 MB (2-vCPU VM). Time
+# grows as bits^1.6, the cost of Karatsuba products.
+_MAX_COUNT_BITS = 1 << 22
+
+_ZERO = (inf, 0)  # the unreachable pair: ⊕'s identity, ⊗'s absorbing element
+# the selected, dominated and needy pair at size 0 in one way, the others unreachable
+_UNITS = ((0, 1, inf, 0, inf, 0), (inf, 0, 0, 1, inf, 0), (inf, 0, inf, 0, 0, 1))
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    """⊕ of two (size, count) pairs: the smaller size; on a tie the counts add."""
+    if not b[1] or a[1] and a[0] < b[0]:
+        return a
+    if not a[1] or b[0] < a[0]:
+        return b
+    return (a[0], a[1] + b[1])
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """⊗ of two (size, count) pairs: the sizes add and the counts multiply.
+    An unreachable factor gives ``(inf, 0)`` by branching, so no size is
+    added to ``inf`` (see `combine`)."""
+    if not (a[1] and b[1]):
+        return _ZERO
+    if a[1].bit_length() + b[1].bit_length() > _MAX_COUNT_BITS:
+        from .errors import TooLargeError
+
+        raise TooLargeError(f"the count of minimum dominating sets would pass the limit of {_MAX_COUNT_BITS} bits")
+    return (a[0] + b[0], a[1] * b[1])
+
+
+def _apply(m: tuple, v: tuple) -> tuple:
+    """m v for a matrix m, a tuple of rows, and a vector v, each of 3 pairs."""
+    out = []
+    for row in m:
+        total = _ZERO
+        for a, b in zip(row, v):
+            total = _plus(total, _times(a, b))
+        out.append(total)
+    return tuple(out)
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """The matrix product x y, as the columns of y mapped by x."""
+    return tuple(zip(*(_apply(x, column) for column in zip(*y))))
+
+
+def _power_apply(m: tuple, k: int, v: tuple) -> tuple:
+    """m^k v, by squaring: O(log k) products."""
+    while k:
+        if k & 1:
+            v = _apply(m, v)
+        k >>= 1
+        if k:
+            m = _product(m, m)
+    return v
+
+
+def _pairs(state: tuple) -> tuple:
+    """A 6-tuple state as its (selected, dominated, needy) pairs."""
+    return state[0:2], state[2:4], state[4:6]
+
+
+def _matrix(step) -> tuple:
+    """The matrix of `step`, a map between states that is linear over the
+    semiring: its column j is `step` of the j-th unit state."""
+    return tuple(zip(*(_pairs(step(unit)) for unit in _UNITS)))
+
+
 def _spine_state(n: int, hosts: range, pendants: int) -> tuple:
     """Root state of the path v1..vn rooted at v1, with `pendants` leaves on
-    each vertex whose id (v(i+1) has id i) is in `hosts`."""
-    # The spine child goes last: with it first, the big-int products come in
-    # another order, and comb:n=100000 folded in 2.3 s instead of 1.0 s
-    # (2-vCPU VM).
-    leaves = (_LEAF_STATE,) * pendants
-    state = combine(leaves if n - 1 in hosts else ())
-    for i in range(n - 2, -1, -1):
-        state = combine((*leaves, state) if i in hosts else (state,))
-    return state
+    each vertex whose id (v(i+1) has id i) is in `hosts`.
+
+    The spine is a product of matrices from v1 down, applied to a child
+    that changes nothing (dominated at size 0): each path vertex maps its
+    spine child's state by the host's or the plain vertex's spine-child
+    map. The hosts split the product into a plain prefix, one repeated
+    block (a host and step - 1 plain vertices) and a plain suffix, each a
+    power. A host's own state is the leaf state with the leaf-child map
+    applied `pendants` times."""
+    add_leaf = _matrix(lambda state: combine((_LEAF_STATE,), state))
+    host_state = sum(_power_apply(add_leaf, pendants, _pairs(_LEAF_STATE)), ())
+    host = _matrix(lambda child: combine((child,), host_state))
+    plain = _matrix(lambda child: combine((child,), _LEAF_STATE))
+    state, prefix = _pairs(_UNITS[1]), n
+    if hosts:
+        block = host
+        for _ in range(hosts.step - 1):
+            block = _product(block, plain)
+        state = _apply(host, _power_apply(plain, n - 1 - hosts[-1], state))
+        state, prefix = _power_apply(block, len(hosts) - 1, state), hosts[0]
+    return sum(_power_apply(plain, prefix, state), ())
 
 
 def _edge_state(n: int, us, vs) -> tuple:

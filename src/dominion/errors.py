@@ -41,8 +41,9 @@ class NoClosedFormError(DominionError):
 
 class TooLargeError(DominionError):
     """The tree exceeds the exhaustive-search size cap, its search would
-    test more subsets than the oracle's budget, or a leaf selection would
-    list or draw more leaves than `perturb` admits."""
+    test more subsets than the oracle's budget, a leaf selection would
+    list or draw more leaves than `perturb` admits, or a spine fold's count
+    would pass its bit budget."""
 
 
 class NotALevelLeafError(DominionError):

@@ -302,6 +302,18 @@ class FamilySpec:
         return f"{self.kind}:{body}"
 
 
+def _leaf_set(text: str) -> frozenset[str]:
+    """The labels of a leaf list such as ``b8+b11``, as ``delete=`` and
+    ``perturb --delete`` write it; a label written twice is a ParseError,
+    as a repeated parameter is."""
+    labels: set[str] = set()
+    for label in text.split("+"):
+        if label in labels:
+            raise ParseError(f"leaf {label!r} is named more than once")
+        labels.add(label)
+    return frozenset(labels)
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the canonical family grammar into a validated FamilySpec."""
     kind, colon, rest = text.partition(":")
@@ -321,7 +333,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     fields: dict[str, object] = {}
     for key, value in params.items():
         if key == "delete":
-            fields["deleted_leaves"] = frozenset(value.split("+"))
+            fields["deleted_leaves"] = _leaf_set(value)
             continue
         if key not in _FIELDS or key == "m" and kind != "star":  # m is star's alone
             raise ParseError(f"unknown parameter {key!r} for {kind!r}")

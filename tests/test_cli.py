@@ -419,6 +419,10 @@ class TestSameVerdict:
         ("star:n=3", None, "star does not take parameter n"),
         ("star:m=3,n=2", None, "star does not take parameter n"),
         (None, ("--h", "300000", "--random-size", "70000"), "height 300000 is more than the limit of 262144"),
+        (None, ("--h", "300000", "--all-single-leaves"), "height 300000 is more than the limit of 262144"),
+        # a label written twice is a grammar error, as a repeated key is
+        ("binary:h=3,delete=b9+b8+b9+b8", ("--h", "3", "--delete", "b9+b8+b9+b8"), "leaf 'b9' is named more than once"),
+        ("binary:h=300000,delete=b8+b8", ("--h", "300000", "--delete", "b8+b8"), "leaf 'b8' is named more than once"),
     ])
     def test_every_command_gives_the_same_error(self, capsys, spec, perturb, err):
         runs = []
@@ -475,6 +479,26 @@ class TestDigits:
                 assert cli._digits(-n) == str(-n)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestCountBudget:
+    """Spine folds refuse a count past `dp._MAX_COUNT_BITS`, not a vertex count."""
+
+    @pytest.mark.parametrize("spec", ["comb:n=100000000000", "uniform:n=100000000000,r=1"])
+    def test_huge_counts_are_refused(self, capsys, spec):
+        err = "error: the count of minimum dominating sets would pass the limit of 4194304 bits\n"
+        assert run(capsys, "compute", spec) == (1, "", err)
+
+    @pytest.mark.parametrize("spec,row", [
+        ("path:n=100000000000", (100000000000, 33333333334, str((33333333333**2 + 5 * 33333333333 + 2) // 2))),
+        ("star:m=1000000000000", (1000000000001, 1, "1")),
+        ("uniform:n=2,r=1000000000000", (2000000000002, 2, "1")),
+    ])
+    def test_small_counts_of_huge_trees_answer(self, capsys, spec, row):
+        code, out, err = run(capsys, "compute", "--json", spec)
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert (got["n_vertices"], got["gamma"], got["zeta"]) == row
 
 
 class TestCountsPastTheDigitLimit:

@@ -54,6 +54,20 @@ class TestFibonacci:
             222232244629420445529739893461909967206666939096499764990979600
         )
 
+    @staticmethod
+    def _by_recurrence(stop):
+        a, b = 1, 1
+        for _ in range(1, stop):
+            yield a
+            a, b = b, a + b
+
+    def test_fast_doubling_matches_the_recurrence(self):
+        assert [fibonacci(t) for t in range(1, 2000)] == list(self._by_recurrence(2000))
+
+    def test_fast_doubling_at_a_large_index(self):
+        *_, last = self._by_recurrence(150_002)
+        assert fibonacci(150_001) == last
+
 
 class TestUniformPendant:
     def test_comb(self):

@@ -347,3 +347,87 @@ class TestScaling:
     def test_deep_path_no_recursion_limit(self):
         # path-like input much deeper than the interpreter recursion limit
         assert dp_count(make_path(30000)).gamma == 10000
+
+
+def _spine_one_vertex_at_a_time(n, hosts, pendants):
+    """The spine fold as one `combine` per path vertex, from vn up to v1:
+    the reference for `dp._spine_state`'s matrix powers."""
+    from dominion.dp import _LEAF_STATE, combine
+
+    leaves = (_LEAF_STATE,) * pendants
+    state = combine(leaves if n - 1 in hosts else ())
+    for i in range(n - 2, -1, -1):
+        state = combine((*leaves, state) if i in hosts else (state,))
+    return state
+
+
+def _exact(state):
+    # 5 == 5.0, so a float size would pass a plain tuple comparison
+    return state, [type(x) for x in state]
+
+
+class TestSpineFold:
+    """`dp._spine_state` takes the spine as semiring matrix powers."""
+
+    @given(n=st.integers(1, 300), start=st.integers(0, 2), step=st.integers(1, 2), pendants=st.integers(0, 4),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_matrix_powers_match_the_one_vertex_fold(self, n, start, step, pendants, data):
+        from dominion.dp import _spine_state
+
+        hosts = range(start, data.draw(st.integers(min(start, n), n)), step)
+        assert _exact(_spine_state(n, hosts, pendants)) == _exact(_spine_one_vertex_at_a_time(n, hosts, pendants))
+
+    @given(st.integers(1, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_stars_match_the_one_vertex_fold(self, m):
+        from dominion.dp import _spine_state
+
+        assert _exact(_spine_state(1, range(1), m)) == _exact(_spine_one_vertex_at_a_time(1, range(1), m))
+
+    @pytest.mark.parametrize("kind", ["path", "comb"])
+    def test_combine_calls_do_not_grow_with_n(self, monkeypatch, kind):
+        # The matrices come from a fixed set of probes: three unit states
+        # for each of three maps, whatever the length of the spine.
+        from dominion import cli, dp
+
+        calls = []
+        real = dp.combine
+
+        def spy(children, state=dp._LEAF_STATE):
+            calls.append(len(children))
+            return real(children, state)
+
+        monkeypatch.setattr(dp, "combine", spy)
+        counts = []
+        for n in (10, 1_000_000):
+            calls.clear()
+            cli.compute_row(f"{kind}:n={n}")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 9
+
+    @pytest.mark.parametrize("n", [10**400, 2**1100 + 1, 3 * 2**1100 + 1], ids=["10^400", "2^1100+1", "3*2^1100+1"])
+    def test_paths_past_float_range(self, n):
+        # Sizes past 2^1024 cannot meet inf in a sum, so the semiring branches
+        # on count 0 instead; the powers of 2^1100 + 1 meet unreachable pairs.
+        from dominion import cli
+
+        def expected(n):  # a path's (gamma, zeta), by n mod 3
+            k, rest = divmod(n, 3)
+            return DominationSummary(k + (rest > 0), (1, (k * k + 5 * k + 2) // 2, k + 2)[rest])
+
+        assert all(dp_count(make_path(m)) == expected(m) for m in range(1, 40))
+        row = cli.compute_row(f"path:n={n}")
+        assert (row.n_vertices, row.gamma, row.zeta) == (n, expected(n).gamma, cli._digits(expected(n).zeta))
+
+    def test_counts_past_the_bit_budget_are_refused(self, monkeypatch):
+        from dominion import dp
+        from dominion.errors import TooLargeError
+
+        monkeypatch.setattr(dp, "_MAX_COUNT_BITS", 256)
+        assert root_summary(dp._spine_state(200, range(200), 1)).zeta == 2**200
+        for n in (300, 10**11):
+            with pytest.raises(TooLargeError, match="would pass the limit of 256 bits"):
+                dp._spine_state(n, range(n), 1)
+        # a long path's count is small, whatever its length
+        assert root_summary(dp._spine_state(10**11, range(0), 1)).gamma == (10**11 + 2) // 3
