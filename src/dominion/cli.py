@@ -11,11 +11,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
 from . import closed_form, dp, families, oracle, perturbation
-from .errors import DominionError, MismatchError, NoClosedFormError, ParseError, TooLargeError
+from .errors import DominionError, MismatchError, NoClosedFormError, ParseError
 from .tree import DominationSummary, Tree, parse_edge_list, write_edge_list
 
 EXIT_OK = 0
@@ -99,16 +99,12 @@ def compute_row(text: str) -> ReportRow:
     that the count came from the DP. A family spec takes its DP state from
     its kind's `fold`, with no tree built; an edge-list file is parsed into a
     tree and folded."""
-    spec = families.parse_family_spec(text) if _looks_like_spec(text) else None
-    if spec is not None:
+    method = "dp"
+    if _looks_like_spec(text):
+        spec = families.parse_family_spec(text)
         family = families.FAMILIES[spec.kind]
         n_vertices, state = family.size(spec), family.fold(spec)
         source, dp_result = spec.spec_string(), dp.root_summary(state)
-    else:
-        tree = _read_tree(text)
-        source, n_vertices, dp_result = text, tree.vertex_count, dp.dp_count(tree)
-    formula, method = dp_result, "dp"
-    if spec is not None:
         gamma_formula = closed_form.GAMMA_FORMULAS.get(spec.kind)
         if gamma_formula is not None:
             formula = DominationSummary(gamma_formula(spec), dp_result.zeta)
@@ -116,20 +112,23 @@ def compute_row(text: str) -> ReportRow:
             try:
                 formula, method = closed_form.summary_for(spec), "closed_form"
             except NoClosedFormError:
-                pass
-    if formula != dp_result:
-        raise MismatchError(
-            f"{source}: closed form gives (gamma={_digits(formula.gamma)}, zeta={_digits(formula.zeta)}) "
-            f"but the dynamic program gives "
-            f"(gamma={_digits(dp_result.gamma)}, zeta={_digits(dp_result.zeta)})"
-        )
+                formula = dp_result
+        if formula != dp_result:
+            raise MismatchError(
+                f"{source}: closed form gives (gamma={_digits(formula.gamma)}, zeta={_digits(formula.zeta)}) "
+                f"but the dynamic program gives "
+                f"(gamma={_digits(dp_result.gamma)}, zeta={_digits(dp_result.zeta)})"
+            )
+    else:
+        tree = _read_tree(text)
+        source, n_vertices, dp_result = text, tree.vertex_count, dp.dp_count(tree)
     return ReportRow(source, n_vertices, dp_result.gamma, _digits(dp_result.zeta), method)
 
 
 def _emit_row(row: ReportRow, fmt: str) -> None:
     # str(), and so json.dumps, refuses ints past the 4300-digit limit, which
     # a binary spec's vertex count and gamma pass from h = 14284 on.
-    fields = asdict(row)
+    fields = vars(row)
     text = {name: _digits(value) if isinstance(value, int) else value for name, value in fields.items()}
     if fmt == "json":  # json.dumps's layout, with the ints unquoted
         items = (f"{json.dumps(name)}: {text[name] if isinstance(value, int) else json.dumps(value)}"
@@ -185,13 +184,7 @@ def _cmd_perturb(args) -> int:
     if args.seed is not None and args.random_size is None:
         raise ParseError("--seed is only used with --random-size")
     if args.all_single_leaves:
-        families._check_height(h)
-        if h >= perturbation._MAX_LEAVES.bit_length():  # 2^h leaves, compared without building 2^h
-            raise TooLargeError(
-                f"--all-single-leaves at height {h} lists 2^{h} leaves, "
-                f"more than the limit of {perturbation._MAX_LEAVES}"
-            )
-        leaf_sets = [{leaf} for leaf in families.level_labels(h, h)]
+        leaf_sets = [{leaf} for leaf in perturbation._single_leaves(h)]
     elif args.random_size is not None:
         leaf_sets = [perturbation.random_leaf_subset(h, args.random_size, args.seed or 0)]
     else:  # no selection flag, like --delete "", deletes nothing
@@ -199,46 +192,10 @@ def _cmd_perturb(args) -> int:
     reports = [perturbation.analyze_deletion(h, x) for x in leaf_sets]
     writer = csv.writer(sys.stdout)
     writer.writerow(PERTURB_COLUMNS)
-    for rep in reports:
-        writer.writerow(
-            [
-                rep.h,
-                families.format_leaf_set(rep.deleted),
-                rep.m1,
-                _digits(rep.gamma_before),
-                _digits(rep.gamma_after),
-                _digits(rep.zeta_before),
-                _digits(rep.zeta_after),
-                _digits(rep.envelope),
-                "true" if rep.bound_holds else "false",
-            ]
-        )
+    for rep in reports:  # the fields in declaration order, which is PERTURB_COLUMNS's
+        height, deleted, m1, *counts, holds = vars(rep).values()
+        writer.writerow([height, families.format_leaf_set(deleted), m1, *map(_digits, counts), str(holds).lower()])
     return EXIT_OK
-
-
-@dataclass(frozen=True)
-class CheckCell:
-    """One verification record: the same quantity computed several ways."""
-
-    table: int
-    family: str
-    results: dict
-
-    @property
-    def ok(self) -> bool:
-        values = list(self.results.values())
-        return all(v == values[0] for v in values)
-
-    def to_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "family": self.family,
-            "ok": self.ok,
-            "methods": {
-                name: {"gamma": summary.gamma, "zeta": _digits(summary.zeta)}
-                for name, summary in self.results.items()
-            },
-        }
 
 
 # Table 1 checks the alternating combs three ways; table 2 checks each
@@ -252,41 +209,28 @@ _TABLE2_SPECS = [
 ] + [f"binary:h={h}" for h in range(1, 7)]
 
 
-def _check_cell(table: int, text: str) -> CheckCell:
+def _check_cell(table: int, text: str) -> dict:
+    """One verification record, as `verify-tables --json` prints it."""
     spec = families.parse_family_spec(text)
     tree = families.build_tree(spec)
     results = {"closed_form": closed_form.summary_for(spec), "dp": dp.dp_count(tree)}
     if table == 1:
         results["oracle"] = oracle.oracle_count(tree)
-    return CheckCell(table, text, results)
-
-
-def verification_cells() -> list[CheckCell]:
-    return [_check_cell(1, text) for text in _TABLE1_SPECS] + [
-        _check_cell(2, text) for text in _TABLE2_SPECS
-    ]
+    methods = {name: {"gamma": summary.gamma, "zeta": _digits(summary.zeta)} for name, summary in results.items()}
+    return {"table": table, "family": text, "ok": len(set(results.values())) == 1, "methods": methods}
 
 
 def _cmd_verify(args) -> int:
-    cells = verification_cells()
-    failures = [cell for cell in cells if not cell.ok]
+    cells = [_check_cell(1, text) for text in _TABLE1_SPECS] + [_check_cell(2, text) for text in _TABLE2_SPECS]
+    failures = [cell for cell in cells if not cell["ok"]]
     # every cell checks two quantities, gamma and zeta
     t1, t2 = 2 * len(_TABLE1_SPECS), 2 * len(_TABLE2_SPECS)
     if args.format == "json":
-        payload = {
-            "ok": not failures,
-            "table1_cells": t1,
-            "table2_cells": t2,
-            "cells": [cell.to_dict() for cell in cells],
-        }
-        print(json.dumps(payload))
+        print(json.dumps({"ok": not failures, "table1_cells": t1, "table2_cells": t2, "cells": cells}))
     else:
         for cell in failures:
-            parts = ", ".join(
-                f"{name}=(gamma={summary.gamma}, zeta={_digits(summary.zeta)})"
-                for name, summary in cell.results.items()
-            )
-            print(f"MISMATCH {cell.family}: {parts}")
+            parts = ", ".join(f"{name}=(gamma={m['gamma']}, zeta={m['zeta']})" for name, m in cell["methods"].items())
+            print(f"MISMATCH {cell['family']}: {parts}")
         print(f"table 1: {t1} cells checked (alternating combs, n=2..10, 3 methods)")
         print(f"table 2: {t2} cells checked (family formulas vs dynamic program)")
         print("all checks passed" if not failures else f"{len(failures)} records disagree")

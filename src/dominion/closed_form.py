@@ -8,10 +8,18 @@ built: a gamma-only closed form takes zeta from the kind's fold.
 
 from __future__ import annotations
 
-from .dp import root_summary
+from .dp import _check_count_bits, root_summary
 from .errors import InvalidParameterError, NoClosedFormError
-from .families import FAMILIES, FamilySpec
+from .families import FAMILIES, FamilySpec, _check_height
 from .tree import DominationSummary
+
+
+def _check_count(bits: int) -> None:
+    """Refuse a count of at least `bits` bits if the spine fold would refuse it
+    too. A fold's count is a sum of at most six products within
+    `dp._MAX_COUNT_BITS` (three in a matrix row, two at the root), so it has
+    at most 3 bits more."""
+    _check_count_bits(bits - 3)
 
 
 def fibonacci(t: int) -> int:
@@ -19,6 +27,7 @@ def fibonacci(t: int) -> int:
     F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
     if t < 1:
         raise InvalidParameterError("Fibonacci index must be >= 1")
+    _check_count(6942 * (t - 2) // 10000 + 1)  # F_t >= phi^(t-2), and log2(phi) > 0.6942
     a, b = 0, 1  # F(k), F(k+1), for k the leading bits of t read so far
     for bit in f"{t:b}":
         a, b = a * (2 * b - a), a * a + b * b
@@ -33,6 +42,7 @@ def uniform_pendant_summary(n: int, r: int) -> DominationSummary:
     themselves (zeta = 1)."""
     if n < 1 or r < 1:
         raise InvalidParameterError("uniform pendant tree needs n >= 1 and r >= 1")
+    _check_count(n + 1 if r == 1 else 1)
     return DominationSummary(n, 2**n if r == 1 else 1)
 
 
@@ -54,6 +64,7 @@ def interior_pendant_summary(n: int) -> DominationSummary:
     elif n == 3:
         zeta = 1
     else:
+        _check_count(gamma - 1)
         zeta = 2 ** (gamma - 2)
     return DominationSummary(gamma, zeta)
 
@@ -82,6 +93,7 @@ def binary_summary(h: int) -> DominationSummary:
     multiple of 3 at least 3, otherwise 1)."""
     if h < 1:
         raise InvalidParameterError("complete binary tree needs h >= 1")
+    _check_height(h)
     gamma = (2 ** (h + 2) + 3) // 7
     zeta = 3 if h >= 3 and h % 3 == 0 else 1
     return DominationSummary(gamma, zeta)

@@ -165,6 +165,15 @@ _ZERO = (inf, 0)  # the unreachable pair: ⊕'s identity, ⊗'s absorbing elemen
 _UNITS = ((0, 1, inf, 0, inf, 0), (inf, 0, 0, 1, inf, 0), (inf, 0, inf, 0, 0, 1))
 
 
+def _check_count_bits(bits: int) -> None:
+    """Refuse a count that may have `bits` bits, past `_MAX_COUNT_BITS`, before
+    it is formed; the spine fold and the closed forms share it."""
+    if bits > _MAX_COUNT_BITS:
+        from .errors import TooLargeError
+
+        raise TooLargeError(f"the count of minimum dominating sets would pass the limit of {_MAX_COUNT_BITS} bits")
+
+
 def _plus(a: tuple, b: tuple) -> tuple:
     """⊕ of two (size, count) pairs: the smaller size; on a tie the counts add."""
     if not b[1] or a[1] and a[0] < b[0]:
@@ -180,10 +189,7 @@ def _times(a: tuple, b: tuple) -> tuple:
     added to ``inf`` (see `combine`)."""
     if not (a[1] and b[1]):
         return _ZERO
-    if a[1].bit_length() + b[1].bit_length() > _MAX_COUNT_BITS:
-        from .errors import TooLargeError
-
-        raise TooLargeError(f"the count of minimum dominating sets would pass the limit of {_MAX_COUNT_BITS} bits")
+    _check_count_bits(a[1].bit_length() + b[1].bit_length())
     return (a[0] + b[0], a[1] * b[1])
 
 

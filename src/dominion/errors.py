@@ -42,8 +42,11 @@ class NoClosedFormError(DominionError):
 class TooLargeError(DominionError):
     """The tree exceeds the exhaustive-search size cap, its search would
     test more subsets than the oracle's budget, a leaf selection would
-    list or draw more leaves than `perturb` admits, or a spine fold's count
-    would pass its bit budget."""
+    list or draw more leaves than `perturb` admits, a spine fold's count
+    would pass its bit budget, or a closed form (`summary_for`, `fibonacci`,
+    `uniform_pendant_summary`, `interior_pendant_summary`,
+    `alternating_summary`, `binary_summary`) would pass that budget or the
+    binary height limit."""
 
 
 class NotALevelLeafError(DominionError):

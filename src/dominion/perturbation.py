@@ -18,10 +18,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from . import families
 from .closed_form import binary_summary
 from .dp import _deletion_state, root_summary
 from .errors import InvalidParameterError, TooLargeError
-from .families import _check_height, _hits, level_labels
 from .rng import SplitMix64
 
 # The most leaves one `perturb` run lists (--all-single-leaves) or draws
@@ -51,7 +51,7 @@ def m1_of(h: int, deleted) -> int:
     """Number of level-(h-1) parents with exactly one child in `deleted`."""
     if h < 1:
         raise InvalidParameterError("height must be >= 1")
-    return list(_hits(h, set(deleted)).values()).count(1)
+    return list(families._hits(h, set(deleted)).values()).count(1)
 
 
 def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
@@ -61,8 +61,8 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     if h < 2:
         raise InvalidParameterError("leaf-deletion analysis needs h >= 2")
     deleted = frozenset(deleted)
-    hits = _hits(h, deleted)
-    _check_height(h)
+    hits = families._hits(h, deleted)
+    families._check_height(h)
     if len(deleted) == 1 << h:
         raise InvalidParameterError("cannot delete the entire bottom level")
     m1 = list(hits.values()).count(1)
@@ -82,13 +82,24 @@ def analyze_deletion(h: int, deleted) -> LeafDeletionReport:
     )
 
 
+def _single_leaves(h: int) -> list[str]:
+    """The bottom-level leaves, each deleted alone by `perturb --all-single-leaves`
+    and `single_leaf_doubling_check`; the height and count are checked first."""
+    families._check_height(h)
+    if h >= _MAX_LEAVES.bit_length():  # 2^h leaves, compared without building 2^h
+        raise TooLargeError(f"--all-single-leaves at height {h} lists 2^{h} leaves, "
+                            f"more than the limit of {_MAX_LEAVES}")
+    return families.level_labels(h, h)
+
+
 def single_leaf_doubling_check(h: int) -> bool:
     """True iff deleting any single bottom-level leaf preserves gamma and
-    exactly doubles zeta."""
+    exactly doubles zeta; the leaves are those `perturb --all-single-leaves`
+    lists, under its height and leaf limits."""
     if h < 2:
         raise InvalidParameterError("doubling check needs h >= 2")
     before = binary_summary(h)
-    for leaf in level_labels(h, h):
+    for leaf in _single_leaves(h):
         report = analyze_deletion(h, {leaf})
         if report.gamma_after != before.gamma or report.zeta_after != 2 * before.zeta:
             return False
@@ -101,7 +112,7 @@ def random_leaf_subset(h: int, size: int, seed: int) -> frozenset[str]:
     reproducible manifests."""
     if h < 1:
         raise InvalidParameterError("height must be >= 1")
-    _check_height(h)
+    families._check_height(h)
     if not 0 <= size < 1 << h:
         raise InvalidParameterError(f"subset size must be in [0, {(1 << h) - 1}] for height {h}")
     if size > _MAX_LEAVES:

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dominion import DominationSummary, cli
+from dominion import DominationSummary, cli, families
 
 
 def run(capsys, *argv):
@@ -704,6 +707,20 @@ class TestPerturb:
         assert rows[0] == list(cli.PERTURB_COLUMNS)
         assert rows[1] == ["3", "b8", "1", "5", "5", "3", "6", "6", "true"]
 
+    def test_columns_follow_the_report_fields(self, capsys):
+        # Each row is the report's fields in declaration order, with the
+        # deleted set written as X and bound_holds as holds.
+        from dataclasses import fields
+
+        from dominion import LeafDeletionReport
+
+        names = [f.name for f in fields(LeafDeletionReport)]
+        renamed = {"deleted": "X", "bound_holds": "holds"}
+        assert [renamed.get(name, name) for name in names] == list(cli.PERTURB_COLUMNS)
+        code, out, err = run(capsys, "perturb", "--h", "2", "--delete", "b5+b4")
+        assert (code, err) == (0, "")
+        assert list(csv.reader(io.StringIO(out)))[1] == ["2", "b4+b5", "0", "2", "2", "1", "2", "1", "false"]
+
     def test_all_single_leaves(self, capsys):
         code, out, _ = run(capsys, "perturb", "--h", "2", "--all-single-leaves")
         rows = list(csv.reader(io.StringIO(out)))
@@ -875,8 +892,19 @@ class TestVerifyTables:
         )
         code, out, _ = run(capsys, "verify-tables")
         assert code == 2
-        assert "MISMATCH" in out
+        assert out.splitlines()[0] == (
+            "MISMATCH alt-even:n=2: closed_form=(gamma=1, zeta=2), dp=(gamma=1, zeta=1), oracle=(gamma=1, zeta=1)"
+        )
         assert "alt-" in out
+        code, out, _ = run(capsys, "verify-tables", "--json")
+        payload = json.loads(out)
+        assert (code, payload["ok"], payload["table1_cells"], payload["table2_cells"]) == (2, False, 36, 82)
+        assert payload["cells"][0] == {
+            "table": 1, "family": "alt-even:n=2", "ok": False,
+            "methods": {"closed_form": {"gamma": 1, "zeta": "2"}, "dp": {"gamma": 1, "zeta": "1"},
+                        "oracle": {"gamma": 1, "zeta": "1"}},
+        }
+        assert list(payload["cells"][0]) == ["table", "family", "ok", "methods"]
 
 
 class TestUsageContract:
@@ -899,3 +927,98 @@ class TestUsageContract:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+    def test_python_dash_m(self):
+        # The package runs as a module with the same streams and exit codes.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, code in ((["compute", "--json", "comb:n=3"], 0), (["compute", "comb:n=0"], 1)):
+            done = subprocess.run([sys.executable, "-m", "dominion", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == _call(argv)
+            assert done.returncode == code
+
+
+# Edge-list text with comments, headers, a BOM, self-loops and repeated
+# edges: a random tree's edges (v(i+1) below one of v0..vi) mixed with lines
+# over a few labels, so that trees, cycles and repeats all come up.
+_LABELS = st.sampled_from(["a", "b", "v0", "v1", "v2", "01", "#x", "vertices:", "é"])
+_LINES = st.one_of(
+    st.tuples(_LABELS, _LABELS).map(" ".join),
+    st.lists(_LABELS, max_size=4).map(lambda labels: " ".join(["vertices:", *labels])),
+    st.text(max_size=8).map(lambda text: "# " + text),
+    st.lists(_LABELS, max_size=3).map(" ".join),
+    st.text(alphabet=" \t\r\x0b\x0c\x1c\u2028\ufeffab", max_size=6),
+)
+_TREE = st.lists(st.integers(0, 99), max_size=7).map(
+    lambda picks: [f"v{i + 1} v{p % (i + 1)}" for i, p in enumerate(picks)])
+_EDGE_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.tuples(_TREE, st.lists(_LINES, max_size=3)).flatmap(lambda t: st.permutations(t[0] + t[1])),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda t: t[0] + t[2].join(t[1]) + t[2])
+_FILE_BYTES = st.one_of(_EDGE_TEXT.map(str.encode), st.binary(max_size=24))
+
+# Spec strings: well-formed ones for every kind, and near misses. n stays
+# small, since the alternating folds run for seconds on a huge n before the
+# count budget refuses it; the other parameters go huge too, as they are
+# refused or folded in O(log) time.
+_SMALL = st.integers(-3, 40).map(str)
+_VALUES = {
+    "n": st.one_of(_SMALL, st.just("9" * 4400)),
+    "delete": st.sampled_from(["b8", "b8+b11", "b8+b8", "b3", "x", "", "b" + str(1 << 70)]),
+}
+_PARAM = st.sampled_from(["n", "m", "r", "h", "seed", "delete", "q", ""]).flatmap(
+    lambda key: _VALUES.get(key, st.one_of(_SMALL, st.sampled_from([str(10**11), str(2**70), "x", " 5 "])))
+    .map(lambda value: f"{key}={value}")
+)
+_WELL_FORMED = st.sampled_from(families.KINDS).flatmap(lambda kind: st.tuples(
+    *(st.integers(0, 12).map(lambda v, p=p: f"{p}={v}") for p in families.FAMILIES[kind].params)
+).map(lambda params: f"{kind}:" + ",".join(params)))
+_SPEC = st.one_of(_WELL_FORMED, st.tuples(
+    st.sampled_from([*families.KINDS, "Binary", " comb", "nope", ""]),
+    st.sampled_from([":", ""]),
+    st.lists(st.one_of(_PARAM, st.text(max_size=4)), max_size=3).map(",".join),
+).map("".join))
+
+
+def _call(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+
+
+class TestFuzz:
+    """Any input ends in exit 0, 1 or 2 with a typed error: no traceback,
+    and nothing on stdout when the input is refused."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(contents=_FILE_BYTES, command=st.sampled_from([
+        ["compute"], ["compute", "--json"], ["compute", "--csv"], ["oracle", "--cap", "8"],
+        ["oracle", "--enumerate", "--cap", "8"]]))
+    def test_edge_list_files(self, tmp_path_factory, contents, command):
+        path = tmp_path_factory.getbasetemp() / "fuzz.edges"
+        path.write_bytes(contents)
+        _assert_contract(*_call([*command, str(path)]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(spec=_SPEC, command=st.sampled_from([
+        ["compute"], ["compute", "--json"], ["compute", "--csv"], ["oracle", "--cap", "8"]]))
+    def test_spec_strings(self, spec, command):
+        _assert_contract(*_call([*command, spec]))

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from dominion import (
     DominationSummary,
     InvalidParameterError,
     NoClosedFormError,
+    TooLargeError,
     alternating_summary,
     binary_summary,
     dp_count,
@@ -15,10 +18,12 @@ from dominion import (
     make_path,
     make_uniform_pendant,
     parse_family_spec,
+    root_summary,
     star_summary,
     summary_for,
     uniform_pendant_summary,
 )
+from dominion.families import FAMILIES
 
 # Golden values for the alternating combs, n = 2..10: (gamma, zeta) per n.
 EVEN_GOLDEN = {
@@ -159,6 +164,56 @@ class TestSummaryFor:
             summary_for(parse_family_spec("binary:h=3,delete=b8"))
         with pytest.raises(NoClosedFormError):
             summary_for(parse_family_spec("random:n=12,seed=42"))
+
+
+class TestBudgets:
+    """The closed forms refuse, before forming it, a count that the spine fold
+    would refuse, and a binary height past the height limit."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: summary_for(parse_family_spec("comb:n=100000000000")), "4194304 bits"),
+        (lambda: summary_for(parse_family_spec("uniform:n=100000000000,r=1")), "4194304 bits"),
+        (lambda: summary_for(parse_family_spec("interior:n=100000000000")), "4194304 bits"),
+        (lambda: summary_for(parse_family_spec("alt-even:n=100000000000")), "4194304 bits"),
+        (lambda: summary_for(parse_family_spec("alt-odd:n=100000000000")), "4194304 bits"),
+        (lambda: summary_for(parse_family_spec("binary:h=300000")), "height 300000 is more than the limit of 262144"),
+        (lambda: uniform_pendant_summary(10**11, 1), "4194304 bits"),
+        (lambda: interior_pendant_summary(10**11), "4194304 bits"),
+        (lambda: alternating_summary(10**11, "odd"), "4194304 bits"),
+        (lambda: fibonacci(10**11), "4194304 bits"),
+        (lambda: binary_summary(10**11), "height 100000000000 is more than the limit of 262144"),
+    ])
+    def test_refused_at_once(self, call, message):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=message):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_small_counts_of_huge_trees_answer(self):
+        assert uniform_pendant_summary(10**11, 2) == DominationSummary(10**11, 1)
+        assert star_summary(10**12) == DominationSummary(1, 1)
+
+    @pytest.mark.parametrize("kind", ["comb", "uniform", "interior", "alt-even", "alt-odd"])
+    def test_every_spec_the_fold_answers_has_its_closed_form(self, monkeypatch, kind):
+        # Near a budget of 64 bits, n = 2..239 crosses the fold's last answer
+        # for every kind; the closed form may refuse only what the fold refuses.
+        from dominion import dp
+
+        monkeypatch.setattr(dp, "_MAX_COUNT_BITS", 64)
+        verdicts = set()
+        for n in range(2, 240):
+            spec = parse_family_spec(f"{kind}:n={n}" + (",r=1" if kind == "uniform" else ""))
+            try:
+                folded = root_summary(FAMILIES[kind].fold(spec))
+            except TooLargeError:
+                folded = None
+            try:
+                closed = summary_for(spec)
+            except TooLargeError:
+                closed = None
+            assert folded is None or closed == folded, spec
+            verdicts.add((folded is not None, closed is not None))
+        assert verdicts >= {(True, True), (False, False)}
 
 
 class TestFormulasAgainstDp:

@@ -225,6 +225,10 @@ class TestSplitMix64:
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
 
+    def test_below_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SplitMix64(1).below(0)
+
     def test_sample_is_subset(self):
         rng = SplitMix64(5)
         picked = rng.sample(range(100), 10)
@@ -364,6 +368,8 @@ class TestFamilySpecGrammar:
             FamilySpec(kind="uniform", n=4)
         with pytest.raises(InvalidParameterError):
             FamilySpec(kind="star", m=3, deleted_leaves=frozenset({"b8"}))
+        with pytest.raises(InvalidParameterError, match="^unknown family kind 'nope'$"):
+            FamilySpec("nope")
 
     @pytest.mark.parametrize("build,err", [
         (lambda: make_path(2.5), "parameter 'n' must be an integer, got 2.5"),

@@ -38,6 +38,10 @@ class TestM1:
     def test_two_parents(self):
         assert m1_of(3, {"b8", "b10"}) == 2
 
+    def test_height_zero(self):
+        with pytest.raises(InvalidParameterError, match="height must be >= 1"):
+            m1_of(0, ())
+
     def test_empty(self):
         assert m1_of(3, set()) == 0
 
@@ -209,6 +213,37 @@ class TestDoubling:
         with pytest.raises(InvalidParameterError):
             single_leaf_doubling_check(1)
 
+    @pytest.mark.parametrize("h", [17, 40])
+    def test_past_the_leaf_limit_lists_nothing(self, monkeypatch, h):
+        from dominion import families
+
+        def refuse(*_):
+            raise AssertionError("the level was listed")
+
+        monkeypatch.setattr(families, "level_labels", refuse)
+        with pytest.raises(TooLargeError, match=rf"lists 2\^{h} leaves, more than the limit of 65536"):
+            single_leaf_doubling_check(h)
+
+    def test_past_the_height_limit(self):
+        with pytest.raises(TooLargeError, match="height 300000 is more than the limit of 262144"):
+            single_leaf_doubling_check(300000)
+
+    @pytest.mark.parametrize("field", ["gamma_after", "zeta_after"])
+    def test_one_failing_leaf_fails_the_check(self, monkeypatch, field):
+        from dataclasses import replace
+
+        from dominion import perturbation
+
+        real = perturbation.analyze_deletion
+
+        def off_at_b15(h, deleted):
+            report = real(h, deleted)
+            return replace(report, **{field: getattr(report, field) + 1}) if deleted == {"b15"} else report
+
+        monkeypatch.setattr(perturbation, "analyze_deletion", off_at_b15)
+        assert single_leaf_doubling_check(3) is False
+        assert single_leaf_doubling_check(4) is True
+
 
 class TestSymmetry:
     def test_every_single_leaf_report_is_identical(self):
@@ -232,6 +267,8 @@ class TestRandomLeafSubset:
         with pytest.raises(InvalidParameterError):
             random_leaf_subset(3, -1, 0)
         assert random_leaf_subset(3, 0, 0) == frozenset()
+        with pytest.raises(InvalidParameterError, match="height must be >= 1"):
+            random_leaf_subset(0, 1, 0)
 
     def test_labels_past_the_int_digit_limit(self):
         # Level-14283 labels have at most 4300 digits; 2^14285 - 1, the

@@ -23,6 +23,10 @@ def test_parse_single_vertex():
     assert tree.edges == ()
 
 
+def test_repr_counts_the_vertices():
+    assert repr(parse_edge_list("a b\nb c\n")) == "Tree(3 vertices)"
+
+
 def test_parse_p2():
     tree = parse_edge_list("a b\n")
     assert set(tree.labels) == {"a", "b"}
