@@ -44,9 +44,9 @@ from .rng import SplitMix64
 from .tree import Tree, _IdEdges
 
 # The most vertices a spec may build, or fold through its Prüfer decoding.
-# `generate`, which costs the most per vertex, peaked at 300-330 bytes per
-# vertex (binary:h=20: 636 MB; random:n=2097152: 686 MB), so a spec at the
-# limit costs about 1.4 GB; binary:h=20, 2^21 - 1 vertices, fits twice over.
+# `generate`, which costs the most per vertex, peaks at 190-210 bytes per
+# vertex (binary:h=20: 398 MB; random:n=2097152: 441 MB), so a spec at the
+# limit costs about 0.9 GB; binary:h=20, 2^21 - 1 vertices, fits twice over.
 _MAX_VERTICES = 1 << 22
 
 # The greatest height a binary spec or a leaf-deletion report may have. The

@@ -2,13 +2,14 @@
 I/O.
 
 Trees work on integer vertex ids, the positions in `labels`, and touch labels
-only at input and output. Validation peels leaves, never vertex 0, and keeps
-the peel as the order the dynamic program folds, so vertex 0 is the root;
-`root_at` moves another vertex to id 0. Neighbour lists are built only on
-first use, for `neighbors` and `degree`. Labels are opaque identifiers
-(strings from the parser and the generators; integers are accepted
-programmatically). All labels of one tree must be mutually orderable, since
-serialization sorts by label.
+only at input and output; a tree keeps its ids in flat `array("q")`, 8 bytes
+an entry, whatever sequences it was given. Validation peels leaves, never
+vertex 0, and keeps the peel as the order the dynamic program folds, so
+vertex 0 is the root; `root_at` moves another vertex to id 0. Neighbour
+lists are built only on first use, for `neighbors` and `degree`. Labels are
+opaque identifiers (strings from the parser and the generators; integers are
+accepted programmatically). All labels of one tree must be mutually
+orderable, since serialization sorts by label.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Hashable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTreeError, NotATreeError, ParseError, UnknownVertexError
 
@@ -83,6 +84,9 @@ class Tree:
             # repeat, so id edges are checked for those only now, to name one.
             _edge_ids(labels, zip(map(labels.__getitem__, us), map(labels.__getitem__, vs)))
             raise NotATreeError("graph is disconnected")
+        # Converted only after the peel, which reads a list's ids without
+        # making a new int for each, as it must for an array's.
+        us, vs = (ids if isinstance(ids, array) else array("q", ids) for ids in (us, vs))
         self.labels, self._us, self._vs, self._order = labels, us, vs, order
         self._csr = self._ids = None
 
@@ -213,6 +217,20 @@ def leaves(tree: Tree) -> set[Label]:
     return {v for v in tree.labels if tree.degree(v) <= 1}
 
 
+_PARSE_BLOCK = 1 << 20  # characters split into lines at a time
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """`text` in pieces of about `_PARSE_BLOCK` characters, each ending just
+    after a newline or at the end, so that no line break is split: the lines
+    of the pieces are the lines of `text`."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def parse_edge_list(text: str) -> Tree:
     """Parse edge-list text into a validated Tree.
 
@@ -222,9 +240,11 @@ def parse_edge_list(text: str) -> Tree:
     Labels are preserved verbatim as strings.
     """
     ids: dict[str, int] = {}  # label -> id, in order of first appearance
-    ends: list[int] = []  # edge endpoints, two per edge
+    us, vs = array("q"), array("q")  # edge endpoints' ids
+    push_u, push_v = us.append, vs.append
     header_allowed = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(map(str.splitlines, _blocks(text)))  # never all held at once
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
@@ -240,12 +260,14 @@ def parse_edge_list(text: str) -> Tree:
         elif len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two labels, got {raw.strip()!r}")
         else:
-            ends.append(ids.setdefault(tokens[0], len(ids)))
-            ends.append(ids.setdefault(tokens[1], len(ids)))
+            push_u(ids.setdefault(tokens[0], len(ids)))
+            push_v(ids.setdefault(tokens[1], len(ids)))
         header_allowed = False
     if not ids:
         raise EmptyTreeError("no vertices declared")
-    return Tree(ids, _IdEdges(ends[0::2], ends[1::2]))
+    labels = tuple(ids)
+    del ids  # its int objects and table outweigh the arrays that hold the same ids
+    return Tree(labels, _IdEdges(us, vs))
 
 
 def to_edge_list(tree: Tree) -> str:
@@ -267,13 +289,15 @@ def write_edge_list(tree: Tree, handle: TextIO) -> None:
     labels = tree.labels
     n = len(labels)
     order = sorted(range(n), key=labels.__getitem__)
-    rank = [0] * n  # the inverse permutation of order
+    names = [str(labels[i]) for i in order]
+    rank = array("q", [0]) * n  # the inverse permutation of order
     for r, i in enumerate(order):
         rank[i] = r
-    names = [str(labels[i]) for i in order]
+    del order  # each table is dropped once used, as `rank` is below
     # An edge sorts as the label ranks of its endpoints, packed low * n + high.
-    ranked = zip(map(rank.__getitem__, tree._us), map(rank.__getitem__, tree._vs))
-    keys = sorted(a * n + b if a < b else b * n + a for a, b in ranked)
+    edges = zip(tree._us, tree._vs)
+    keys = array("q", sorted(a * n + b if (a := rank[u]) < (b := rank[v]) else b * n + a for u, v in edges))
+    del rank
     handle.write("vertices: " + " ".join(names) + "\n")
     for start in range(0, len(keys), _LINES_PER_WRITE):
         handle.write("".join([f"{names[k // n]} {names[k % n]}\n" for k in keys[start:start + _LINES_PER_WRITE]]))

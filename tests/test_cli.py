@@ -492,6 +492,17 @@ class TestCountBudget:
         err = "error: the count of minimum dominating sets would pass the limit of 4194304 bits\n"
         assert run(capsys, "compute", spec) == (1, "", err)
 
+    @pytest.mark.parametrize("spec", ["alt-odd:n=100000000000", "alt-even:n=100000000000"])
+    def test_refused_before_the_fold(self, capsys, spec):
+        # The closed form's bit bound refuses at once; the fold would first
+        # square the alternating block for seconds.
+        import time
+
+        err = "error: the count of minimum dominating sets would pass the limit of 4194304 bits\n"
+        start = time.perf_counter()
+        assert run(capsys, "compute", spec) == (1, "", err)
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("spec,row", [
         ("path:n=100000000000", (100000000000, 33333333334, str((33333333333**2 + 5 * 33333333333 + 2) // 2))),
         ("star:m=1000000000000", (1000000000001, 1, "1")),
@@ -973,18 +984,43 @@ _VALUES = {
     "n": st.one_of(_SMALL, st.just("9" * 4400)),
     "delete": st.sampled_from(["b8", "b8+b11", "b8+b8", "b3", "x", "", "b" + str(1 << 70)]),
 }
-_PARAM = st.sampled_from(["n", "m", "r", "h", "seed", "delete", "q", ""]).flatmap(
-    lambda key: _VALUES.get(key, st.one_of(_SMALL, st.sampled_from([str(10**11), str(2**70), "x", " 5 "])))
-    .map(lambda value: f"{key}={value}")
-)
+_HUGE = st.sampled_from([str(10**11), str(2**70)])
 _WELL_FORMED = st.sampled_from(families.KINDS).flatmap(lambda kind: st.tuples(
     *(st.integers(0, 12).map(lambda v, p=p: f"{p}={v}") for p in families.FAMILIES[kind].params)
 ).map(lambda params: f"{kind}:" + ",".join(params)))
-_SPEC = st.one_of(_WELL_FORMED, st.tuples(
-    st.sampled_from([*families.KINDS, "Binary", " comb", "nope", ""]),
-    st.sampled_from([":", ""]),
-    st.lists(st.one_of(_PARAM, st.text(max_size=4)), max_size=3).map(",".join),
-).map("".join))
+
+
+def _specs(values):
+    """Spec strings whose parameter `key`, when written, takes its value
+    from `values[key]`."""
+    param = st.sampled_from(["n", "m", "r", "h", "seed", "delete", "q", ""]).flatmap(
+        lambda key: values.get(key, st.one_of(_SMALL, _HUGE, st.sampled_from(["x", " 5 "])))
+        .map(lambda value: f"{key}={value}")
+    )
+    return st.one_of(_WELL_FORMED, st.tuples(
+        st.sampled_from([*families.KINDS, "Binary", " comb", "nope", ""]),
+        st.sampled_from([":", ""]),
+        st.lists(st.one_of(param, st.text(max_size=4)), max_size=3).map(",".join),
+    ).map("".join))
+
+
+_SPEC = _specs(_VALUES)
+# `generate` builds every tree it is given, and h = 18..21 is 2^19..2^22
+# vertices, so a height stays small unless it is refused before any work.
+_SMALL_HEIGHT = st.one_of(st.integers(-3, 10).map(str), _HUGE, st.just(str((1 << 18) + 1)))
+_GENERATE_SPEC = _specs({**_VALUES, "h": _SMALL_HEIGHT})
+_SIZE = st.one_of(st.integers(0, 12).map(str), _SMALL, _HUGE, st.just("x"))
+_PERTURB_FLAG = st.one_of(
+    _VALUES["delete"].map(lambda leaves: ["--delete", leaves]),
+    st.tuples(_SIZE, st.one_of(_SMALL, _HUGE)).map(lambda t: ["--random-size", t[0], "--seed", t[1]]),
+    _SIZE.map(lambda size: ["--random-size", size]),
+    st.one_of(_SMALL, _HUGE).map(lambda seed: ["--seed", seed]),
+    st.just(["--all-single-leaves"]),
+)
+_PERTURB_ARGV = st.tuples(
+    st.one_of(st.integers(2, 10).map(str), _SMALL_HEIGHT).map(lambda h: ["--h", h]),
+    st.lists(_PERTURB_FLAG, max_size=2),
+).map(lambda t: ["perturb", *t[0], *(arg for flag in t[1] for arg in flag)])
 
 
 def _call(argv) -> tuple[int, str, str]:
@@ -1022,3 +1058,15 @@ class TestFuzz:
         ["compute"], ["compute", "--json"], ["compute", "--csv"], ["oracle", "--cap", "8"]]))
     def test_spec_strings(self, spec, command):
         _assert_contract(*_call([*command, spec]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_GENERATE_SPEC, out=st.sampled_from(["file", "-", "directory"]))
+    def test_generate(self, tmp_path_factory, spec, out):
+        base = tmp_path_factory.getbasetemp()
+        path = {"file": str(base / "fuzz-generated.edges"), "-": "-", "directory": str(base)}[out]
+        _assert_contract(*_call(["generate", spec, path]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(argv=_PERTURB_ARGV)
+    def test_perturb(self, argv):
+        _assert_contract(*_call(argv))

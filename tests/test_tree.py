@@ -354,3 +354,100 @@ def test_rooted_structure_matches_base_edges(n, seed):
     assert set(rooted.labels) == set(tree.labels)
     assert rooted.edges == tree.edges
     assert all(rooted.neighbors(v) == tree.neighbors(v) for v in tree.labels)
+
+
+# Edge-list text for the block parser: lines of a small tree, stray labels,
+# comments, blank lines and headers (first, misplaced or with a repeated
+# label), each ended by one of the breaks `str.splitlines` knows, the last
+# one optionally unended.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+_BLOCK_LINES = st.one_of(
+    st.sampled_from(["a b", "b c", "c a", "a", "a b c", "# a b", "#", "", "  \t", "vertices: a b c",
+                     "vertices: a a", "vertices:", " vertices: c"]),
+    st.integers(1, 6).map(lambda i: f"v{i} v{i // 2}"),
+)
+_BLOCK_TEXT = st.tuples(
+    st.lists(st.tuples(_BLOCK_LINES, _BREAKS).map("".join), max_size=14).map("".join),
+    st.sampled_from(["", "a", "v1 v0"]),
+).map("".join)
+
+
+def _parsed(text):
+    """The tree `parse_edge_list` builds from `text`, as comparable data, or
+    the type and message of the error it raises."""
+    from dominion import DominionError
+
+    try:
+        tree = parse_edge_list(text)
+    except DominionError as exc:
+        return type(exc), str(exc)
+    return tree.labels, tree._us, tree._vs, tree._order
+
+
+@given(_BLOCK_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_block_size_does_not_change_the_parse(text):
+    from dominion import tree as tree_module
+
+    expected = _parsed(text)  # the default blocks hold all of a text this short
+    with pytest.MonkeyPatch.context() as patch:
+        for size in (1, 2, 3, 7, 64):
+            patch.setattr(tree_module, "_PARSE_BLOCK", size)
+            assert _parsed(text) == expected
+
+
+def test_a_block_limit_inside_crlf_does_not_split_it(monkeypatch):
+    # The limit after 4 characters falls between "\r" and "\n"; the block
+    # runs on to the "\n", so line 2 keeps its number.
+    from dominion import tree as tree_module
+
+    text = "a b\r\nb\r\n"
+    monkeypatch.setattr(tree_module, "_PARSE_BLOCK", 4)
+    assert list(tree_module._blocks(text)) == ["a b\r\n", "b\r\n"]
+    with pytest.raises(ParseError, match="^line 2: expected two labels, got 'b'$"):
+        parse_edge_list(text)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_every_construction_route_stores_id_arrays():
+    from array import array
+
+    from dominion import FamilySpec, build_tree, delete_leaves, families, make_complete_binary
+
+    spec = {"n": 5, "m": 4, "r": 2, "h": 3, "seed": 9}
+    trees = [Tree(["a", "b", "c"], [("a", "b"), ("c", "b")]), parse_edge_list("a b\nb c\n"),
+             delete_leaves(make_complete_binary(3), {"b8", "b9"}), root_at(random_tree(9, 1), "n4")]
+    trees += [build_tree(FamilySpec(kind, **{p: spec[p] for p in family.params}))
+              for kind, family in families.FAMILIES.items()]
+    for tree in trees:
+        assert type(tree._us) is array and tree._us.typecode == "q"
+        assert type(tree._vs) is array and tree._vs.typecode == "q"
+
+
+@pytest.mark.parametrize("spec", ["random:n=50000,seed=1", "binary:h=15"])
+def test_bytes_per_vertex(spec):
+    # tracemalloc counts what Python allocates, so unlike peak RSS the figures
+    # repeat exactly. With list edges and list tables in the writer, a tree
+    # held 120-143 bytes per vertex and `write_edge_list` peaked at 148-155.
+    import tracemalloc
+
+    from dominion import build_tree, parse_family_spec
+    from dominion.tree import write_edge_list
+
+    spec = parse_family_spec(spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = build_tree(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        write_edge_list(tree, _Discard())
+        written = tracemalloc.get_traced_memory()[1] - before - held
+    finally:
+        tracemalloc.stop()
+    assert held / tree.vertex_count < 105  # 95.4-95.5 measured
+    assert written / tree.vertex_count < 80  # 66.5-67.1 measured
