@@ -252,7 +252,7 @@ def _spine_state(n: int, hosts: range, pendants: int) -> tuple:
         for _ in range(hosts.step - 1):
             block = _product(block, plain)
         state = _apply(host, _power_apply(plain, n - 1 - hosts[-1], state))
-        state, prefix = _power_apply(block, len(hosts) - 1, state), hosts[0]
+        state, prefix = _power_apply(block, (hosts[-1] - hosts[0]) // hosts.step, state), hosts[0]
     return sum(_power_apply(plain, prefix, state), ())
 
 

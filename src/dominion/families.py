@@ -68,7 +68,8 @@ class _Pendants(NamedTuple):
 
     @property
     def total(self) -> int:
-        return len(self.hosts) * self.per_host
+        hosts = self.hosts  # counted, not len(): that overflows past 2^63 - 1
+        return ((hosts[-1] - hosts[0]) // hosts.step + 1) * self.per_host if hosts else 0
 
 
 def _path_with_pendants(n: int, pendants: _Pendants) -> Tree:

@@ -154,15 +154,18 @@ def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array]:
     (children, parents) ids, each vertex after all of its own children, the
     order `_edge_state` folds. It comes out short of n - 1 pairs unless the
     n - 1 edges form a tree."""
-    if us and not 0 <= min(chain(us, vs)) <= max(chain(us, vs)) < n:
-        raise NotATreeError("an edge uses an undeclared vertex id")
     degree = [0] * n
     link = array("q", [0]) * n  # the XOR of each vertex's remaining neighbours' ids
-    for u, v in zip(us, vs):
-        degree[u] += 1
-        degree[v] += 1
-        link[u] ^= v
-        link[v] ^= u
+    try:  # an id past n - 1 fails the indexing; a negative one would wrap
+        for u, v in zip(us, vs):
+            if u < 0 or v < 0:
+                raise IndexError
+            degree[u] += 1
+            degree[v] += 1
+            link[u] ^= v
+            link[v] ^= u
+    except IndexError:
+        raise NotATreeError("an edge uses an undeclared vertex id") from None
     children = array("q", [v for v in range(1, n) if degree[v] == 1])
     parents = array("q")
     push, record = children.append, parents.append

@@ -514,6 +514,23 @@ class TestCountBudget:
         got = json.loads(out)
         assert (got["n_vertices"], got["gamma"], got["zeta"]) == row
 
+    @pytest.mark.parametrize("n", [2**63, 2**64])
+    @pytest.mark.parametrize("template", ["comb:n={}", "uniform:n={},r=2", "interior:n={}"])
+    @pytest.mark.parametrize("command", ["compute", "generate", "oracle"])
+    def test_host_counts_past_ssize_t(self, capsys, n, template, command):
+        # A path kind's hosts are a range too long for len(): every command
+        # answers or refuses with a typed error instead of an OverflowError.
+        spec = template.format(n)
+        code, out, err = run(capsys, command, spec, *(("-",) if command == "generate" else ()))
+        if command != "compute":
+            assert (code, out, err) == (1, "", f"error: {spec} has more vertices than the limit of 4194304\n")
+        elif template.startswith("uniform"):
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1:4] == [f"vertices   {3 * n}", f"gamma      {n}", "zeta       1"]
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: the count of minimum dominating sets would pass the limit of 4194304 bits\n"
+
 
 class TestCountsPastTheDigitLimit:
     """Counts above the interpreter's 4300-digit int-to-str limit print exactly."""

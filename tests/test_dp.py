@@ -21,7 +21,8 @@ from dominion import (
     root_at,
     root_summary,
 )
-from dominion.families import FAMILIES, KINDS
+from dominion.families import FAMILIES, KINDS, FamilySpec
+from dominion.oracle import DEFAULT_CAP
 
 
 class TestKnownValues:
@@ -98,6 +99,26 @@ class TestOracleEquivalence:
         ]
         for tree in tree_cases:
             assert dp_count(tree) == oracle_count(tree)
+
+    def test_every_kind_at_every_size_up_to_the_default_cap(self):
+        # Every n, m, r and h whose tree has at most DEFAULT_CAP vertices, three
+        # random seeds, and each complete binary tree less each prefix of its
+        # leaves in heap order.
+        cap = DEFAULT_CAP
+        specs = []
+        for kind, family in FAMILIES.items():
+            values = {"n": range(family.min_n, cap + 1), "m": range(1, cap), "r": range(1, cap),
+                      "h": range(1, 5), "seed": range(3)}
+            specs += [FamilySpec(kind, **dict(zip(family.params, combo)))
+                      for combo in product(*(values[p] for p in family.params))]
+        specs += [FamilySpec("binary", h=h, deleted_leaves=frozenset(f"b{k}" for k in range(2**h, 2**h + j)))
+                  for h in range(1, 5) for j in range(1, 2**h)]
+        specs = [spec for spec in specs if FAMILIES[spec.kind].size(spec) <= cap]
+        assert {spec.kind for spec in specs} == set(KINDS)
+        assert {FAMILIES[spec.kind].size(spec) for spec in specs} == set(range(1, cap + 1))
+        for spec in specs:
+            tree = build_tree(spec)
+            assert dp_count(tree) == oracle_count(tree), spec.spec_string()
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**60))
     @settings(max_examples=80, deadline=None)

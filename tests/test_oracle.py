@@ -237,6 +237,33 @@ def test_pruned_search_matches_the_unpruned_reference_every_kind(spec):
     _assert_matches_reference(build_tree(parse_family_spec(spec)))
 
 
+def _spider(legs, length):
+    """Edge list of `legs` paths of `length` edges joined at a center c."""
+    return "".join(f"{f'x{a}_{j - 1}' if j else 'c'} x{a}_{j}\n" for a in range(legs) for j in range(length))
+
+
+# Spiders, a double star and a binary tree less some of its leaves: the
+# shapes on which the choice of branch vertex matters most.
+_WEAK_SHAPES = [
+    _spider(6, 2),
+    _spider(4, 3),
+    _spider(3, 4),
+    "a b\n" + "".join(f"a p{i}\nb q{i}\n" for i in range(5)),
+    "".join(f"b{k // 2} b{k}\n" for k in range(2, 16) if k not in (8, 10, 11, 14)),
+]
+
+
+@pytest.mark.parametrize("text", _WEAK_SHAPES)
+def test_pruned_search_matches_the_unpruned_reference_weak_shapes(text):
+    _assert_matches_reference(parse_edge_list(text))
+
+
+def test_raised_cap_star():
+    # Each mask's bits are read once, not once per vertex: the center's
+    # 20001 would otherwise make this quadratic in Python steps.
+    assert oracle_count(make_star(20000), cap=20001) == DominationSummary(1, 1)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=2**8 - 1), max_size=10),
        st.integers(min_value=1, max_value=10))
 @settings(max_examples=200, deadline=None)

@@ -206,11 +206,18 @@ def test_accepts_exactly_the_trees(case):
 
 
 def test_id_edges_outside_the_labels_are_rejected():
+    # The range check is the first peel error: it comes ahead of a self-loop
+    # or a repeat, and catches a negative id, which would index from the end.
+    from array import array
+
     from dominion.tree import _IdEdges
 
-    for us, vs in (([0], [2]), ([-1], [0])):
-        with pytest.raises(NotATreeError, match="undeclared"):
-            Tree(["a", "b"], _IdEdges(us, vs))
+    for us, vs in (([0], [2]), ([-1], [0]), ([0, 1, 2], [1, 2, 4]), ([0, 0, -1], [1, 2, 3]),
+                   ([0, -7, 2], [1, 2, 3]), ([0, 0, 1], [0, 3, 9]), ([1, 1, 2], [0, 0, -2])):
+        labels = [f"v{i}" for i in range(len(us) + 1)]
+        for ids in (list, lambda xs: array("q", xs)):
+            with pytest.raises(NotATreeError, match="^an edge uses an undeclared vertex id$"):
+                Tree(labels, _IdEdges(ids(us), ids(vs)))
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32),
