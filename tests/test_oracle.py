@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import reduce
 from operator import or_
 
@@ -79,7 +80,26 @@ class TestOracleCount:
             oracle_count(make_path(1000), cap=1000)
         with pytest.raises(TooLargeError):
             enumerate_min_sets(make_path(1000), cap=1000)
-        assert tried == [1, 2, 1, 2]
+        # gamma >= ceil(1000 / 3) passes the refused size 3, so no size is searched.
+        assert tried == []
+
+    def test_subset_budget_stops_mid_search_when_the_degree_bound_is_low(self, monkeypatch):
+        # A center with 994 leaves and a spur to two pendant paths: the degree
+        # bound is 2, below the refused size 3, while gamma is 3.
+        text = "".join(f"c l{i}\n" for i in range(994)) + "c y\ny p1\np1 q1\ny p2\np2 q2\n"
+        tree = parse_edge_list(text)
+        assert tree.vertex_count == 1000
+        tried = []
+        covers = oracle._covers
+
+        def spy(masks, k, full):
+            tried.append(k)
+            return covers(masks, k, full)
+
+        monkeypatch.setattr(oracle, "_covers", spy)
+        with pytest.raises(TooLargeError, match="1000 vertices: searching sizes up to 3 tests"):
+            oracle_count(tree, cap=2000)
+        assert tried == [1, 2]
 
     def test_subset_budget_allows_an_early_size(self):
         # 59 vertices: C(59, 1) subsets are far inside the budget.
@@ -273,3 +293,32 @@ def test_covers_is_the_filtered_combination_list(masks, k):
     want = [c for c in itertools.combinations(range(len(masks)), k)
             if reduce(or_, (masks[i] for i in c)) == full]
     assert list(oracle._covers(masks, k, full)) == want
+
+
+def test_recheck_refuses_a_planted_non_dominating_set(monkeypatch):
+    covers = oracle._covers
+
+    def planted(masks, k, full):  # (0, 1) is {v1, v2} on P5, which misses v4 and v5
+        found = covers(masks, k, full)
+        return found + [(0, 1)] if found else found
+
+    monkeypatch.setattr(oracle, "_covers", planted)
+    with pytest.raises(AssertionError, match=re.escape("non-dominating set ('v1', 'v2')")):
+        enumerate_min_sets(make_path(5))
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**50))
+@settings(max_examples=25, deadline=None)
+def test_recheck_agrees_with_is_dominating_on_every_subset(n, seed):
+    tree = random_tree(n, seed)
+    order = sorted(tree.labels)
+    for k in range(n + 1):
+        for indices in itertools.combinations(range(n), k):
+            members = tuple(order[i] for i in indices)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_minimum_sets", lambda tree, cap: (order, [indices]))
+                if is_dominating(tree, members):
+                    assert enumerate_min_sets(tree).sets == (members,)
+                else:
+                    with pytest.raises(AssertionError, match="non-dominating"):
+                        enumerate_min_sets(tree)
